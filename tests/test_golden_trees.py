@@ -1,0 +1,123 @@
+"""Tree stability: the builders must reproduce recorded trees node for node.
+
+`data/golden_trees.json` holds the sha256 of the canonical JSON form of
+every tree built for three corpora:
+
+protocol   the first 50 protocol nets at master seed 31337, every heuristic;
+large      the first 400-node net with 240-255 relevant factors of the
+           benchmark's `large` corpus stream, every heuristic;
+nonbinary  60 seeded random instances with cardinalities 2-5, keyed on
+           work and on modeled time under two machines.
+
+To record the digests again, run this file as a script:
+`PYTHONPATH=src python tests/test_golden_trees.py`.  Only do so when a
+change of tree is intended, and say why where the change is described.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from factorcube import costmodel, factoring, network
+from factorcube.cli import net_seed
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_trees.json"
+
+PROTOCOL_MASTER = 31337
+LARGE_PARAMS = network.NetGenParams(
+    (400, 400), (3.5, 5.0), (30, 50), seed=9527278904628312433
+)
+MACHINES = {
+    "default": costmodel.DEFAULT_MACHINE,
+    "g1-n64": costmodel.MachineParams(g_min=1, n_a=64),
+}
+
+
+def tree_digest(tree) -> str:
+    text = json.dumps(factoring._tree_to_obj(tree), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _net_cases(prefix, net, query):
+    scopes, cards, _ = factoring.scopes_for_query(net, query)
+    for h in factoring.HEURISTICS:
+        yield f"{prefix}/{h}", lambda h=h: factoring.build_tree(
+            h, scopes, cards, query.query_var
+        )
+
+
+def protocol_cases():
+    for i in range(1, 51):
+        net, query = network.random_net(
+            network.NetGenParams(seed=net_seed(PROTOCOL_MASTER, i))
+        )
+        yield from _net_cases(f"protocol/{i}", net, query)
+
+
+def large_cases():
+    net, query = network.random_net(LARGE_PARAMS)
+    yield from _net_cases("large", net, query)
+
+
+def nonbinary_instance(seed: int):
+    """A random factor instance whose variables have 2-5 states."""
+    rng = random.Random(f"nonbinary:{seed}")
+    nv = rng.randint(4, 10)
+    cards = {v: rng.randint(2, 5) for v in range(nv)}
+    scopes = [
+        tuple(sorted(rng.sample(range(nv), rng.randint(1, min(5, nv)))))
+        for _ in range(rng.randint(2, 12))
+    ]
+    query = rng.choice(sorted({v for s in scopes for v in s}))
+    return scopes, cards, query
+
+
+def nonbinary_cases():
+    for seed in range(60):
+        scopes, cards, query = nonbinary_instance(seed)
+        yield f"nonbinary/{seed}/set-factoring", lambda s=scopes, c=cards, q=query: (
+            factoring.build_set_factoring(s, c, q)
+        )
+        for name, machine in MACHINES.items():
+            yield (
+                f"nonbinary/{seed}/set-factoring-c/{name}",
+                lambda s=scopes, c=cards, q=query, m=machine: (
+                    factoring.build_set_factoring_c(s, c, q, m)
+                ),
+            )
+
+
+def _check(cases):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    seen = 0
+    wrong = []
+    for case_id, build in cases:
+        seen += 1
+        if tree_digest(build()) != want[case_id]:
+            wrong.append(case_id)
+    assert seen > 0
+    assert not wrong, f"{len(wrong)} of {seen} trees changed: {wrong[:10]}"
+
+
+def test_protocol_trees_match_golden():
+    _check(protocol_cases())
+
+
+def test_large_trees_match_golden():
+    _check(large_cases())
+
+
+def test_nonbinary_trees_match_golden():
+    _check(nonbinary_cases())
+
+
+if __name__ == "__main__":
+    digests = {}
+    for cases in (protocol_cases(), large_cases(), nonbinary_cases()):
+        for case_id, build in cases:
+            digests[case_id] = tree_digest(build())
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
