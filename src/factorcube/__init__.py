@@ -3,7 +3,7 @@ sequential and hypercube-parallel execution cost of the evaluation trees."""
 
 __version__ = "0.1.0"
 
-from ._kernels import backend, set_backend
+from ._kernels import backend
 from .costmodel import (
     DEFAULT_MACHINE,
     CpCost,

@@ -1,379 +1,12 @@
-"""Hot inner loops with two interchangeable lanes.
-
-The greedy tree builders rescan every factor pair at every combine step and
-the numeric evaluator streams one fused multiply-accumulate pass per tree
-node; both dominate runtime on protocol-sized nets.  Each kernel therefore
-exists twice: a numba @njit version and a vectorized pure-numpy version.
-
-Lane selection: the FACTORCUBE_USE_NUMBA environment variable ("0" forces
-the numpy lane; default is numba when importable).  `set_backend` overrides
-at runtime, which the tests and the lane benchmark use.  Both lanes perform
-the same float64 operations in the same order, so pair selection - and
-hence every tree and every cost table - is identical between them.
-
-All pair-selection kernels assume binary variables (the experimental
-protocol); builders route non-binary instances to the exact scalar path in
-the planner instead.
-"""
-
-import math
-import os
+"""The numeric evaluator's inner loop: one fused conformal product and
+summation per tree node."""
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-ENV_FLAG = "FACTORCUBE_USE_NUMBA"
-
-
-def _resolve_backend(env_value: str | None) -> str:
-    if env_value is not None and env_value.strip().lower() in ("0", "false", "no"):
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_BACKEND = _resolve_backend(os.environ.get(ENV_FLAG))
-
 
 def backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Switch lanes at runtime; returns the previous lane."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba is not available")
-    previous = _BACKEND
-    _BACKEND = name
-    return previous
-
-
-# ---------------------------------------------------------------------------
-# Split-variable pouring.
-#
-# Once `nsh_used` shared split variables are taken, the remaining `rem`
-# split slots go to input-exclusive result variables one at a time, always
-# taking from the input whose per-processor slice is currently larger (ties
-# favor the first input).  For binary variables the slice sizes are powers
-# of two, so only the counts matter; `_pour` is the closed form of that
-# loop and is shared by both lanes.  cap1/cap2 are the exclusive result
-# variables available in each input; requires rem <= cap1 + cap2.
-# ---------------------------------------------------------------------------
-
-
-def _pour(e1: int, e2: int, cap1: int, cap2: int, rem: int) -> tuple[int, int]:
-    if e1 >= e2:
-        lead = min(rem, e1 - e2)
-        left = rem - lead
-        t1 = lead + (left + 1) // 2
-    else:
-        lead = min(rem, e2 - e1)
-        left = rem - lead
-        t1 = (left + 1) // 2
-    if t1 > cap1:
-        t1 = cap1
-    t2 = rem - t1
-    if t2 > cap2:
-        t2 = cap2
-        t1 = rem - t2
-    return t1, t2
-
-
-@njit(cache=True)
-def _pour_nb(e1, e2, cap1, cap2, rem):
-    if e1 >= e2:
-        lead = min(rem, e1 - e2)
-        left = rem - lead
-        t1 = lead + (left + 1) // 2
-    else:
-        lead = min(rem, e2 - e1)
-        left = rem - lead
-        t1 = (left + 1) // 2
-    if t1 > cap1:
-        t1 = cap1
-    t2 = rem - t1
-    if t2 > cap2:
-        t2 = cap2
-        t1 = rem - t2
-    return t1, t2
-
-
-# ---------------------------------------------------------------------------
-# Pair selection, sequential cost key: (union size, result size, pair order).
-# For binary variables the multiply count and the result table size are
-# monotone in the variable counts, so the key stays in exact integers.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _select_pair_work_nb(present, cnt, query):
-    k, n = present.shape
-    best_u = np.int64(1) << 40
-    best_r = np.int64(1) << 40
-    bi = -1
-    bj = -1
-    for i in range(k):
-        for j in range(i + 1, k):
-            u = 0
-            r = 0
-            for v in range(n):
-                pi = present[i, v]
-                pj = present[j, v]
-                if pi != 0 or pj != 0:
-                    u += 1
-                    if (cnt[v] - pi - pj) > 0 or v == query:
-                        r += 1
-            if u < best_u or (u == best_u and r < best_r):
-                best_u = u
-                best_r = r
-                bi = i
-                bj = j
-    return bi, bj
-
-
-def _pair_tables(present, cnt, query):
-    """Per-pair union/result/overlap counts via exact float64 matmuls."""
-    p = present.astype(np.float64)
-    sizes = p.sum(axis=1)
-    shared = p @ p.T
-    keep2 = (cnt > 2).astype(np.float64)
-    keep1 = (cnt > 1).astype(np.float64)
-    if 0 <= query < p.shape[1]:
-        keep2[query] = 1.0
-        keep1[query] = 1.0
-    nsh = (p * keep2) @ p.T
-    g1 = p * keep1
-    sg_row = g1.sum(axis=1)
-    sg_cross = g1 @ p.T
-    iu, ju = np.triu_indices(p.shape[0], 1)
-    u = (sizes[iu] + sizes[ju] - shared[iu, ju]).astype(np.int64)
-    nsh_p = nsh[iu, ju].astype(np.int64)
-    sg1 = (sg_row[iu] - sg_cross[iu, ju]).astype(np.int64)
-    sg2 = (sg_row[ju] - sg_cross[ju, iu]).astype(np.int64)
-    d1 = sizes[iu].astype(np.int64)
-    d2 = sizes[ju].astype(np.int64)
-    return iu, ju, u, nsh_p + sg1 + sg2, nsh_p, sg1, sg2, d1, d2
-
-
-def _select_pair_work_np(present, cnt, query):
-    iu, ju, u, r, *_ = _pair_tables(present, cnt, query)
-    best = np.lexsort((r, u))[0]
-    return int(iu[best]), int(ju[best])
-
-
-def select_pair_work(present, cnt, query) -> tuple[int, int]:
-    """Pair minimizing (multiply count, result size) for binary variables."""
-    if _BACKEND == "numba":
-        i, j = _select_pair_work_nb(present, cnt, np.int64(query))
-        return int(i), int(j)
-    return _select_pair_work_np(present, cnt, int(query))
-
-
-# ---------------------------------------------------------------------------
-# Pair selection, modeled-parallel-time key: (t_p, result size, pair order).
-# Mirrors the planner's broadcast-compute-aggregate model: pick processors
-# as the largest power of two allowed by the machine size, the grainsize
-# floor, and the result table, split preferentially on shared variables,
-# then charge spanning-tree distribute/return traffic.
-# ---------------------------------------------------------------------------
-
-
-def _pow2_table(max_exponent: int) -> np.ndarray:
-    """Exact float64 powers of two, shared by both lanes."""
-    return np.ldexp(1.0, np.arange(max_exponent + 1, dtype=np.int32))
-
-
-@njit(cache=True)
-def _select_pair_time_nb(
-    present, cnt, sizes, query, alpha, cst, cb, p_init, s_setup, b_buffer,
-    bpe, log2na, glog, pow2,
-):
-    k, n = present.shape
-    best_tp = np.inf
-    best_r = np.int64(1) << 40
-    bi = -1
-    bj = -1
-    for i in range(k):
-        for j in range(i + 1, k):
-            u = 0
-            r = 0
-            nsh = 0
-            sg1 = 0
-            sg2 = 0
-            for v in range(n):
-                pi = present[i, v]
-                pj = present[j, v]
-                if pi != 0 or pj != 0:
-                    u += 1
-                    if (cnt[v] - pi - pj) > 0 or v == query:
-                        r += 1
-                        if pi != 0 and pj != 0:
-                            nsh += 1
-                        elif pi != 0:
-                            sg1 += 1
-                        else:
-                            sg2 += 1
-            s = log2na
-            if r < s:
-                s = r
-            if u - glog < s:
-                s = u - glog
-            if s < 0:
-                s = 0
-            if s == 0:
-                tp = alpha * pow2[u]
-            else:
-                d1 = sizes[i]
-                d2 = sizes[j]
-                nshu = min(s, nsh)
-                rem = s - nshu
-                t1, t2 = _pour_nb(d1 - nshu, d2 - nshu, sg1, sg2, rem)
-                nu = pow2[s]
-                w = alpha * pow2[u - s]
-                bd = bpe * (pow2[d1 - nshu - t1] + pow2[d2 - nshu - t2])
-                br = bpe * pow2[r - s]
-                link = (nu - 1.0) * cb
-                dmax = float(s)
-                c_d = dmax * cst + bd * link
-                c_r = dmax * cst + br * link
-                tp = ((((p_init + s_setup) + w) + c_d) + c_r) + b_buffer
-            if tp < best_tp or (tp == best_tp and r < best_r):
-                best_tp = tp
-                best_r = r
-                bi = i
-                bj = j
-    return bi, bj
-
-
-def _select_pair_time_np(present, cnt, query, machine_scalars, pow2):
-    alpha, cst, cb, p_init, s_setup, b_buffer, bpe, log2na, glog = machine_scalars
-    iu, ju, u, r, nsh, sg1, sg2, d1, d2 = _pair_tables(present, cnt, query)
-    s = np.minimum(np.minimum(np.int64(log2na), r), u - np.int64(glog))
-    s = np.maximum(s, 0)
-    nshu = np.minimum(s, nsh)
-    rem = s - nshu
-    e1 = d1 - nshu
-    e2 = d2 - nshu
-    # closed-form pour, elementwise (mirrors _pour)
-    first_taller = e1 >= e2
-    lead = np.where(first_taller, np.minimum(rem, e1 - e2), np.minimum(rem, e2 - e1))
-    left = rem - lead
-    t1 = np.where(first_taller, lead + (left + 1) // 2, (left + 1) // 2)
-    t1 = np.minimum(t1, sg1)
-    t2 = rem - t1
-    over = t2 > sg2
-    t2 = np.where(over, sg2, t2)
-    t1 = np.where(over, rem - sg2, t1)
-
-    nu = pow2[s]
-    w = alpha * pow2[u - s]
-    bd = bpe * (pow2[d1 - nshu - t1] + pow2[d2 - nshu - t2])
-    br = bpe * pow2[r - s]
-    link = (nu - 1.0) * cb
-    dmax = s.astype(np.float64)
-    c_d = dmax * cst + bd * link
-    c_r = dmax * cst + br * link
-    tp_par = ((((p_init + s_setup) + w) + c_d) + c_r) + b_buffer
-    tp = np.where(s == 0, alpha * pow2[u], tp_par)
-    best = np.lexsort((r, tp))[0]
-    return int(iu[best]), int(ju[best])
-
-
-def machine_scalars(machine) -> tuple:
-    """Pack the fields of a MachineParams for the time-keyed kernels."""
-    g_min = int(machine.g_min)
-    glog = (g_min - 1).bit_length() if g_min > 1 else 0
-    return (
-        float(machine.alpha),
-        float(machine.c_st),
-        float(machine.c_b),
-        float(machine.p_init),
-        float(machine.s_setup),
-        float(machine.b_buffer),
-        float(machine.bytes_per_entry),
-        int(machine.n_a).bit_length() - 1,
-        glog,
-    )
-
-
-def select_pair_time(present, cnt, sizes, query, scalars) -> tuple[int, int]:
-    """Pair minimizing (modeled parallel time, result size), binary vars."""
-    pow2 = _pow2_table(present.shape[1])
-    if _BACKEND == "numba":
-        (alpha, cst, cb, p_init, s_setup, b_buffer, bpe, log2na, glog) = scalars
-        i, j = _select_pair_time_nb(
-            present, cnt, sizes, np.int64(query), alpha, cst, cb,
-            p_init, s_setup, b_buffer, bpe, np.int64(log2na), np.int64(glog), pow2,
-        )
-        return int(i), int(j)
-    return _select_pair_time_np(present, cnt, int(query), scalars, pow2)
-
-
-# ---------------------------------------------------------------------------
-# Fused conformal product + summation.  One pass over the union assignment
-# space accumulating straight into the result table; the numpy lane
-# materializes the full union table and reduces it instead.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _product_sum_nb(t1, t2, cards, s1, s2, sr, out):
-    nv = cards.size
-    digits = np.zeros(nv, dtype=np.int64)
-    total = 1
-    for a in range(nv):
-        total *= cards[a]
-    i1 = 0
-    i2 = 0
-    ir = 0
-    for _ in range(total):
-        out[ir] += t1[i1] * t2[i2]
-        a = nv - 1
-        while a >= 0:
-            digits[a] += 1
-            i1 += s1[a]
-            i2 += s2[a]
-            ir += sr[a]
-            if digits[a] < cards[a]:
-                break
-            digits[a] = 0
-            i1 -= s1[a] * cards[a]
-            i2 -= s2[a] * cards[a]
-            ir -= sr[a] * cards[a]
-            a -= 1
-    return out
-
-
-def _strides(union, cards, table_vars) -> np.ndarray:
-    """C-order strides of each union variable within a table, 0 if absent."""
-    out = np.zeros(len(union), dtype=np.int64)
-    member = {v: i for i, v in enumerate(table_vars)}
-    table_cards = [cards[i] for i, v in enumerate(union) if v in member]
-    stride = 1
-    strides_by_var = {}
-    for v, c in zip(
-        [v for v in reversed(union) if v in member], reversed(table_cards)
-    ):
-        strides_by_var[v] = stride
-        stride *= c
-    for i, v in enumerate(union):
-        out[i] = strides_by_var.get(v, 0)
-    return out
+    """Name of the kernel implementation; there is one, in numpy."""
+    return "numpy"
 
 
 def product_sum(t1, vars1, t2, vars2, union, cards, result_vars) -> np.ndarray:
@@ -381,30 +14,17 @@ def product_sum(t1, vars1, t2, vars2, union, cards, result_vars) -> np.ndarray:
 
     `union`/`cards` describe the joint assignment space (ascending ids,
     last variable fastest); `result_vars` must be a subset of `union`.
+    The product is formed over the full union table and then reduced.
     """
-    result_cards = [cards[union.index(v)] for v in result_vars]
-    result_size = math.prod(result_cards)
-    if _BACKEND == "numba":
-        out = np.zeros(result_size, dtype=np.float64)
-        return _product_sum_nb(
-            np.ascontiguousarray(t1, dtype=np.float64),
-            np.ascontiguousarray(t2, dtype=np.float64),
-            np.asarray(cards, dtype=np.int64),
-            _strides(union, cards, vars1),
-            _strides(union, cards, vars2),
-            _strides(union, cards, result_vars),
-            out,
-        )
-    shape1 = tuple(
-        cards[i] if v in set(vars1) else 1 for i, v in enumerate(union)
-    )
-    shape2 = tuple(
-        cards[i] if v in set(vars2) else 1 for i, v in enumerate(union)
-    )
+    in1 = set(vars1)
+    in2 = set(vars2)
+    kept = set(result_vars)
+    shape1 = tuple(cards[i] if v in in1 else 1 for i, v in enumerate(union))
+    shape2 = tuple(cards[i] if v in in2 else 1 for i, v in enumerate(union))
     full = np.asarray(t1, dtype=np.float64).reshape(shape1 or (1,)) * np.asarray(
         t2, dtype=np.float64
     ).reshape(shape2 or (1,))
-    dropped = tuple(i for i, v in enumerate(union) if v not in set(result_vars))
+    dropped = tuple(i for i, v in enumerate(union) if v not in kept)
     if dropped:
         full = full.sum(axis=dropped)
     return np.asarray(full, dtype=np.float64).ravel()

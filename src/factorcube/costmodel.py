@@ -13,7 +13,6 @@ identities hold bit for bit; times are float64 microseconds.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -141,64 +140,73 @@ def seq_cp_cost(shape, machine: MachineParams) -> float:
     return machine.alpha * shape.multiply_count
 
 
-def plan_split(shape, machine: MachineParams) -> SplitPlan:
+def processor_count(multiplies: int, result_size: int, machine: MachineParams) -> int:
     """Largest power-of-two processor count obeying the machine size, the
-    grainsize floor, and the result-table bound, plus the split variables.
+    grainsize floor (at least g_min multiplies per processor) and the
+    result-table bound (at least one result entry per processor)."""
+    bound = min(machine.n_a, result_size)
+    if machine.g_min > 0:
+        bound = min(bound, multiplies // machine.g_min)
+    return 1 << (bound.bit_length() - 1) if bound > 1 else 1
 
-    Split variables are drawn from the result variables: shared input
-    variables first (they shrink both input slices), then input-exclusive
-    ones taken from whichever input currently has the larger slice (ties
-    favor the first input).
+
+def choose_split(shared, only1, only2, cards, size1: int, size2: int, n_u: int):
+    """Split variables for a product spread over n_u > 1 processors.
+
+    shared/only1/only2 iterate the result variables held by both inputs,
+    by the first only and by the second only, each in ascending order;
+    cards maps a variable to its cardinality.  Shared variables come first
+    (they shrink both input slices); then input-exclusive ones are taken
+    from whichever input currently has the larger slice, ties favoring the
+    first input.  Returns the split variables and the number of table
+    entries each worker is sent: one slice of each input.
     """
+    split = []
+    capacity = k1 = k2 = 1
+    for v in shared:
+        if capacity >= n_u:
+            break
+        split.append(v)
+        capacity *= cards[v]
+        k1 *= cards[v]
+        k2 *= cards[v]
+    only1 = iter(only1)
+    only2 = iter(only2)
+    next1 = next(only1, None)
+    next2 = next(only2, None)
+    while capacity < n_u:
+        # slice sizes are size1/k1 and size2/k2: compare them cross-multiplied
+        if next1 is not None and (next2 is None or size1 * k2 >= size2 * k1):
+            v, next1 = next1, next(only1, None)
+            k1 *= cards[v]
+        else:
+            v, next2 = next2, next(only2, None)
+            k2 *= cards[v]
+        split.append(v)
+        capacity *= cards[v]
+    return split, size1 // k1 + size2 // k2
+
+
+def plan_split(shape, machine: MachineParams) -> SplitPlan:
+    """Processor count (`processor_count`) and split variables
+    (`choose_split`) of one product, with its per-worker byte counts."""
     m = shape.multiply_count
     rsize = shape.result_size
-    n_u = 1
-    while (
-        n_u * 2 <= machine.n_a
-        and n_u * 2 <= rsize
-        and m >= (n_u * 2) * machine.g_min
-    ):
-        n_u *= 2
+    n_u = processor_count(m, rsize, machine)
     if n_u == 1:
         return SplitPlan((), 1, Fraction(m), 0, Fraction(0), Fraction(0), Fraction(0))
 
     cards = dict(zip(shape.union_vars, shape.cards))
     in1 = set(shape.vars1)
     in2 = set(shape.vars2)
-    shared = [v for v in shape.result_vars if v in in1 and v in in2]
-    only1 = [v for v in shape.result_vars if v in in1 and v not in in2]
-    only2 = [v for v in shape.result_vars if v in in2 and v not in in1]
-
-    split: list[int] = []
-    capacity = 1
-    slice1 = Fraction(shape.size1)
-    slice2 = Fraction(shape.size2)
-    for v in shared:
-        if capacity >= n_u:
-            break
-        split.append(v)
-        capacity *= cards[v]
-        slice1 /= cards[v]
-        slice2 /= cards[v]
-    i1 = 0
-    i2 = 0
-    while capacity < n_u:
-        from_first = i1 < len(only1) and (i2 >= len(only2) or slice1 >= slice2)
-        if from_first:
-            v = only1[i1]
-            i1 += 1
-            slice1 /= cards[v]
-        else:
-            v = only2[i2]
-            i2 += 1
-            slice2 /= cards[v]
-        split.append(v)
-        capacity *= cards[v]
-
+    split, entries = choose_split(
+        [v for v in shape.result_vars if v in in1 and v in in2],
+        [v for v in shape.result_vars if v in in1 and v not in in2],
+        [v for v in shape.result_vars if v in in2 and v not in in1],
+        cards, shape.size1, shape.size2, n_u,
+    )
     bpe = machine.bytes_per_entry
-    k1 = math.prod(cards[v] for v in split if v in in1)
-    k2 = math.prod(cards[v] for v in split if v in in2)
-    b_d = bpe * (Fraction(shape.size1, k1) + Fraction(shape.size2, k2))
+    b_d = Fraction(bpe * entries)
     return SplitPlan(
         split_vars=tuple(split),
         n_u=n_u,
@@ -210,22 +218,43 @@ def plan_split(shape, machine: MachineParams) -> SplitPlan:
     )
 
 
+def _spanning_tree_time(d_max: int, n_u: int, nbytes: float, machine: MachineParams) -> float:
+    """Time to move nbytes to or from each of n_u workers over a spanning
+    tree of depth d_max."""
+    return float(d_max) * machine.c_st + nbytes * ((n_u - 1) * machine.c_b)
+
+
 def comm_distribute(plan: SplitPlan, machine: MachineParams) -> float:
     """Spanning-tree cost of shipping each worker its input slice."""
     if plan.n_u == 1:
         return 0.0
-    return float(plan.d_max) * machine.c_st + float(plan.b_d) * (
-        (plan.n_u - 1) * machine.c_b
-    )
+    return _spanning_tree_time(plan.d_max, plan.n_u, float(plan.b_d), machine)
 
 
 def comm_return(plan: SplitPlan, machine: MachineParams) -> float:
     """Spanning-tree cost of collecting the result slices."""
     if plan.n_u == 1:
         return 0.0
-    return float(plan.d_max) * machine.c_st + float(plan.b_r) * (
-        (plan.n_u - 1) * machine.c_b
-    )
+    return _spanning_tree_time(plan.d_max, plan.n_u, float(plan.b_r), machine)
+
+
+def bca_time(multiplies: int, result_size: int, n_u: int, b_d, machine: MachineParams):
+    """(w, c_d, c_r, t_p) of a product spread over n_u > 1 workers, each
+    sent b_d bytes (an exact integer or rational) and returning its share
+    of the result table.
+
+    Every quotient is rounded to float once, from exact operands, so the
+    times equal those computed from a SplitPlan's exact fields.
+    """
+    d_max = n_u.bit_length() - 1
+    w = machine.alpha * (multiplies / n_u)
+    c_d = _spanning_tree_time(d_max, n_u, float(b_d), machine)
+    b_r = machine.bytes_per_entry * result_size / n_u
+    c_r = _spanning_tree_time(d_max, n_u, b_r, machine)
+    t_p = (
+        (((machine.p_init + machine.s_setup) + w) + c_d) + c_r
+    ) + machine.b_buffer
+    return w, c_d, c_r, t_p
 
 
 def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
@@ -238,12 +267,9 @@ def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
     t_s = machine.alpha * shape.multiply_count
     if plan.n_u == 1:
         return CpCost(t_s, t_s, t_s, 0.0, 0.0, 1, shape, plan)
-    w = machine.alpha * float(plan.g)
-    c_d = comm_distribute(plan, machine)
-    c_r = comm_return(plan, machine)
-    t_p = (
-        (((machine.p_init + machine.s_setup) + w) + c_d) + c_r
-    ) + machine.b_buffer
+    w, c_d, c_r, t_p = bca_time(
+        shape.multiply_count, shape.result_size, plan.n_u, plan.b_d, machine
+    )
     return CpCost(t_s, t_p, w, c_d, c_r, plan.n_u, shape, plan)
 
 

@@ -13,6 +13,8 @@ run time of the candidate product.  `build_chain_baseline` is the
 worst-case comparator that just folds factors left to right.
 """
 
+import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -160,8 +162,22 @@ def _check_instance(scopes, cards, query_var) -> None:
                 raise ValueError(f"no cardinality given for variable {v}")
 
 
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _BuildState:
-    """Active factor multiset during a greedy build."""
+    """Active factor multiset during a greedy build.
+
+    Node scopes are bitmasks over `columns`, the variables in ascending id
+    order, so scope algebra is integer arithmetic and decoding a mask
+    yields variables in ascending order.  `count` holds, per column, how
+    many active nodes hold that variable.
+    """
 
     def __init__(self, scopes, cards, query_var):
         self.cards = dict(cards)
@@ -169,65 +185,124 @@ class _BuildState:
         self.nodes: list[EvalNode] = [
             EvalNode(i, None, None, (), tuple(s)) for i, s in enumerate(scopes)
         ]
-        self.active: list[int] = list(range(len(scopes)))  # node ids
-        self.use_count: dict[int, int] = {}
+        self.active: list[int] = list(range(len(scopes)))  # node ids, ascending
+        self.alive = bytearray([1]) * len(scopes)
+        self.columns = sorted({v for s in scopes for v in s} | {query_var})
+        col_of = {v: i for i, v in enumerate(self.columns)}
+        self.col_cards = [self.cards[v] for v in self.columns]
+        self.count = [0] * len(self.columns)
+        self.masks: list[int] = []
         for s in scopes:
+            mask = 0
             for v in s:
-                self.use_count[v] = self.use_count.get(v, 0) + 1
-        self.binary = all(c == 2 for c in self.cards.values())
-        self.columns = sorted(
-            set(self.use_count) | {query_var}
-        )  # dense kernel axis
-        self.col_of = {v: i for i, v in enumerate(self.columns)}
+                mask |= 1 << col_of[v]
+            self.masks.append(mask)
+            for col in _bits(mask):
+                self.count[col] += 1
+        self.query_col = col_of[query_var]
+        self.held_once = self.held_twice = 0
+        for col in range(len(self.columns)):
+            self._recount(col)
+        groups: dict[int, int] = {}
+        for col, card in enumerate(self.col_cards):
+            groups[card] = groups.get(card, 0) | 1 << col
+        self.card_groups = sorted(groups.items())
+        self.sizes = [self.size(mask) for mask in self.masks]
 
-    def kernel_views(self):
-        k = len(self.active)
-        n = len(self.columns)
-        present = np.zeros((k, n), dtype=np.int64)
-        sizes = np.zeros(k, dtype=np.int64)
-        for row, nid in enumerate(self.active):
-            scope = self.nodes[nid].scope
-            sizes[row] = len(scope)
-            for v in scope:
-                present[row, self.col_of[v]] = 1
-        cnt = np.zeros(n, dtype=np.int64)
-        for v, c in self.use_count.items():
-            cnt[self.col_of[v]] = c
-        return present, cnt, sizes, self.col_of[self.query_var]
+    def _recount(self, col: int) -> None:
+        bit = 1 << col
+        self.held_once &= ~bit
+        self.held_twice &= ~bit
+        if col != self.query_col:
+            if self.count[col] == 1:
+                self.held_once |= bit
+            elif self.count[col] == 2:
+                self.held_twice |= bit
+
+    def size(self, mask: int) -> int:
+        """Joint cardinality of the variables in mask."""
+        out = 1
+        for card, group in self.card_groups:
+            out *= card ** (mask & group).bit_count()
+        return out
+
+    def _dead(self, mask_a: int, mask_b: int) -> int:
+        """The eager summation rule: the product of two active nodes sums
+        out every variable no other active node holds, that is, a variable
+        of one input held once or a variable of both inputs held twice.
+        The query variable never dies."""
+        return (mask_a ^ mask_b) & self.held_once | mask_a & mask_b & self.held_twice
+
+    def _vars(self, mask: int) -> tuple[int, ...]:
+        return tuple(self.columns[col] for col in _bits(mask))
 
     def candidate_shape(self, a: int, b: int) -> CpShape:
-        """Shape of the product of active rows a and b under the eager
-        summation rule (variables no other active factor needs die here)."""
-        s1 = self.nodes[self.active[a]].scope
-        s2 = self.nodes[self.active[b]].scope
-        union = tuple(sorted(set(s1) | set(s2)))
-        in1 = set(s1)
-        in2 = set(s2)
-        result = tuple(
-            v
-            for v in union
-            if v == self.query_var
-            or self.use_count[v] - (v in in1) - (v in in2) > 0
-        )
+        """Shape of the product of active nodes a and b."""
+        mask_a = self.masks[a]
+        mask_b = self.masks[b]
+        union = mask_a | mask_b
+        union_vars = self._vars(union)
         return CpShape(
-            s1, s2, union, result, tuple(self.cards[v] for v in union)
+            self.nodes[a].scope,
+            self.nodes[b].scope,
+            union_vars,
+            self._vars(union & ~self._dead(mask_a, mask_b)),
+            tuple(self.cards[v] for v in union_vars),
         )
 
-    def combine(self, a: int, b: int) -> None:
-        """Replace active rows a and b by their product node (a = left)."""
-        shape = self.candidate_shape(a, b)
-        nid_a = self.active[a]
-        nid_b = self.active[b]
-        node = EvalNode(None, nid_a, nid_b, shape.sum_out, shape.result_vars)
-        self.nodes.append(node)
+    def work_key(self, a: int, b: int) -> tuple[int, int]:
+        """(multiply count, result size) of the product of nodes a and b."""
+        mask_a = self.masks[a]
+        mask_b = self.masks[b]
+        union = mask_a | mask_b
+        return self.size(union), self.size(union & ~self._dead(mask_a, mask_b))
+
+    def time_key(self, a: int, b: int, machine) -> tuple[float, int]:
+        """(modeled parallel time, result size) of the product of nodes a
+        and b: the t_p `costmodel.parallel_cp_cost` gives its shape."""
+        mask_a = self.masks[a]
+        mask_b = self.masks[b]
+        union = mask_a | mask_b
+        kept = union & ~self._dead(mask_a, mask_b)
+        m = self.size(union)
+        rsize = self.size(kept)
+        n_u = costmodel.processor_count(m, rsize, machine)
+        if n_u == 1:
+            return machine.alpha * m, rsize
+        _, entries = costmodel.choose_split(
+            _bits(mask_a & mask_b & kept),
+            _bits(mask_a & ~mask_b & kept),
+            _bits(mask_b & ~mask_a & kept),
+            self.col_cards, self.sizes[a], self.sizes[b], n_u,
+        )
+        b_d = machine.bytes_per_entry * entries
+        _, _, _, t_p = costmodel.bca_time(m, rsize, n_u, b_d, machine)
+        return t_p, rsize
+
+    def combine(self, a: int, b: int) -> int:
+        """Replace active nodes a and b by their product (a = left) and
+        return the product's node id, the largest so far."""
+        mask_a = self.masks[a]
+        mask_b = self.masks[b]
+        dead = self._dead(mask_a, mask_b)
+        kept = (mask_a | mask_b) & ~dead
+        self.nodes.append(EvalNode(None, a, b, self._vars(dead), self._vars(kept)))
         new_id = len(self.nodes) - 1
-        del self.active[max(a, b)]
-        del self.active[min(a, b)]
+        self.masks.append(kept)
+        self.sizes.append(self.size(kept))
+        self.alive[a] = self.alive[b] = 0
+        self.alive.append(1)
+        self.active.remove(a)
+        self.active.remove(b)
         self.active.append(new_id)
-        for v in shape.union_vars:
-            self.use_count[v] -= (v in set(shape.vars1)) + (v in set(shape.vars2))
-        for v in shape.result_vars:
-            self.use_count[v] += 1
+        # kept variables of both inputs lose one holder; dead ones lose all
+        for col in _bits(mask_a & mask_b & kept):
+            self.count[col] -= 1
+            self._recount(col)
+        for col in _bits(dead):
+            self.count[col] = 0
+            self._recount(col)
+        return new_id
 
     def finish(self) -> EvalTree:
         root = self.active[0]
@@ -239,34 +314,33 @@ class _BuildState:
         )
 
 
-def _select_exact_work(state: _BuildState) -> tuple[int, int]:
-    """Reference pair choice with exact integer keys (any cardinalities)."""
-    best = None
-    best_key = None
-    k = len(state.active)
-    for a in range(k):
-        for b in range(a + 1, k):
-            shape = state.candidate_shape(a, b)
-            key = (shape.multiply_count, shape.result_size)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (a, b)
-    return best
+def _greedy(state: _BuildState, key, *key_args) -> EvalTree:
+    """Combine the active pair with the least (key, lower id, higher id)
+    until one node remains.
 
-
-def _select_exact_time(state: _BuildState, machine) -> tuple[int, int]:
-    best = None
-    best_key = None
-    k = len(state.active)
-    for a in range(k):
-        for b in range(a + 1, k):
-            shape = state.candidate_shape(a, b)
-            cost = costmodel.parallel_cp_cost(shape, machine)
-            key = (cost.t_p, shape.result_size)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (a, b)
-    return best
+    The active list stays sorted by node id, so the id tie-break is the
+    row-major pair order of a full rescan.  A pair's key depends only on
+    its two scopes and on the holder counts of their variables.  A combine
+    lowers only the counts of variables held by both inputs and kept by
+    the product, and each of those stays held by the product; so a pair of
+    two older nodes keeps its key, and only pairs with the new product
+    need scoring.  Every pair is therefore scored exactly once; heap
+    entries of combined nodes are skipped when they surface.
+    """
+    heap = [
+        (*key(a, b, *key_args), a, b)
+        for a, b in itertools.combinations(state.active, 2)
+    ]
+    heapq.heapify(heap)
+    alive = state.alive
+    while len(state.active) > 1:
+        _, _, a, b = heapq.heappop(heap)
+        if not (alive[a] and alive[b]):
+            continue
+        new_id = state.combine(a, b)
+        for x in state.active[:-1]:
+            heapq.heappush(heap, (*key(x, new_id, *key_args), x, new_id))
+    return state.finish()
 
 
 def build_set_factoring(scopes, cards, query_var) -> EvalTree:
@@ -275,14 +349,7 @@ def build_set_factoring(scopes, cards, query_var) -> EvalTree:
     position."""
     _check_instance(scopes, cards, query_var)
     state = _BuildState(scopes, cards, query_var)
-    while len(state.active) > 1:
-        if state.binary:
-            present, cnt, _, qcol = state.kernel_views()
-            a, b = _kernels.select_pair_work(present, cnt, qcol)
-        else:
-            a, b = _select_exact_work(state)
-        state.combine(a, b)
-    return state.finish()
+    return _greedy(state, state.work_key)
 
 
 def build_set_factoring_c(scopes, cards, query_var, machine) -> EvalTree:
@@ -290,15 +357,7 @@ def build_set_factoring_c(scopes, cards, query_var, machine) -> EvalTree:
     candidate product under the broadcast-compute-aggregate machine."""
     _check_instance(scopes, cards, query_var)
     state = _BuildState(scopes, cards, query_var)
-    scalars = _kernels.machine_scalars(machine)
-    while len(state.active) > 1:
-        if state.binary:
-            present, cnt, sizes, qcol = state.kernel_views()
-            a, b = _kernels.select_pair_time(present, cnt, sizes, qcol, scalars)
-        else:
-            a, b = _select_exact_time(state, machine)
-        state.combine(a, b)
-    return state.finish()
+    return _greedy(state, state.time_key, machine)
 
 
 def build_chain_baseline(scopes, cards, query_var) -> EvalTree:
@@ -309,7 +368,7 @@ def build_chain_baseline(scopes, cards, query_var) -> EvalTree:
         state.combine(0, 1)
     while len(state.active) > 1:
         # running product stays on the left, next input factor on the right
-        state.combine(len(state.active) - 1, 0)
+        state.combine(state.active[-1], state.active[0])
     return state.finish()
 
 

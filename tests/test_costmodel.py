@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,91 @@ def test_plan_split_single_input_vars_balance_slices():
     assert plan.n_u == 64
     taken1 = sum(1 for v in plan.split_vars if v in in1)
     assert taken1 >= 4  # bigger input absorbs most of the split
+
+
+def _sequential_pour(e1, e2, cap1, cap2, rem):
+    """Split slots given one at a time to the input whose binary slice
+    (2**(e - taken)) is larger, ties to the first, within each cap."""
+    t1 = t2 = 0
+    for _ in range(rem):
+        first_available = t1 < cap1
+        second_available = t2 < cap2
+        if first_available and (not second_available or e1 - t1 >= e2 - t2):
+            t1 += 1
+        else:
+            t2 += 1
+    return t1, t2
+
+
+def test_choose_split_matches_sequential_pour():
+    for e1 in range(9):
+        for e2 in range(9):
+            for cap1 in range(6):
+                for cap2 in range(6):
+                    only1 = list(range(cap1))
+                    only2 = list(range(10, 10 + cap2))
+                    cards = {v: 2 for v in only1 + only2}
+                    for rem in range(1, cap1 + cap2 + 1):
+                        split, _ = costmodel.choose_split(
+                            [], only1, only2, cards, 2 ** e1, 2 ** e2, 2 ** rem
+                        )
+                        got = (sum(v < 10 for v in split), sum(v >= 10 for v in split))
+                        assert got == _sequential_pour(e1, e2, cap1, cap2, rem)
+
+
+def fraction_split(shape, n_u):
+    """Reference split choice with the slice sizes kept as exact rationals."""
+    cards = dict(zip(shape.union_vars, shape.cards))
+    in1, in2 = set(shape.vars1), set(shape.vars2)
+    shared = [v for v in shape.result_vars if v in in1 and v in in2]
+    only1 = [v for v in shape.result_vars if v in in1 and v not in in2]
+    only2 = [v for v in shape.result_vars if v in in2 and v not in in1]
+    split = []
+    capacity = 1
+    slice1 = Fraction(shape.size1)
+    slice2 = Fraction(shape.size2)
+    for v in shared:
+        if capacity >= n_u:
+            break
+        split.append(v)
+        capacity *= cards[v]
+        slice1 /= cards[v]
+        slice2 /= cards[v]
+    i1 = i2 = 0
+    while capacity < n_u:
+        if i1 < len(only1) and (i2 >= len(only2) or slice1 >= slice2):
+            v = only1[i1]
+            i1 += 1
+            slice1 /= cards[v]
+        else:
+            v = only2[i2]
+            i2 += 1
+            slice2 /= cards[v]
+        split.append(v)
+        capacity *= cards[v]
+    return tuple(split)
+
+
+def test_choose_split_matches_fraction_slices():
+    rng = random.Random(8)
+    machine = MachineParams(g_min=1, n_a=1 << 14)
+    split_plans = 0
+    for _ in range(300):
+        d1 = rng.randint(1, 8)
+        d2 = rng.randint(1, 8)
+        shared = rng.randint(0, min(d1, d2))
+        vars1 = tuple(range(d1))
+        vars2 = tuple(range(d1 - shared, d1 - shared + d2))
+        union = tuple(sorted(set(vars1) | set(vars2)))
+        result = tuple(sorted(rng.sample(union, rng.randint(1, len(union)))))
+        cards = tuple(rng.randint(2, 5) for _ in union)
+        shape = CpShape(vars1, vars2, union, result, cards)
+        plan = plan_split(shape, machine)
+        if plan.n_u == 1:
+            continue
+        split_plans += 1
+        assert plan.split_vars == fraction_split(shape, plan.n_u)
+    assert split_plans > 200
 
 
 def test_byte_accounting_is_exact():

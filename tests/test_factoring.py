@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -127,6 +128,62 @@ def test_first_step_greedy_dominance():
         tree = build_set_factoring(scopes, cards, query)
         node = tree.nodes[len(scopes)]  # first product created
         assert (node.left, node.right) == exhaustive_best_pair(scopes, cards, query)
+
+
+RESCAN_MACHINES = (
+    costmodel.DEFAULT_MACHINE,
+    costmodel.MachineParams(g_min=1, n_a=64),
+    costmodel.MachineParams(c_st=3.0, p_init=7.0, b_buffer=1.5, n_a=8, g_min=2),
+)
+
+
+def rescan_best_pair(state, machine):
+    """Reference choice: score every active pair from scratch in row-major
+    order under an independently derived eager summation rule, and keep
+    the first least (cost, result size).  machine None keys on work."""
+    held = Counter(v for x in state.active for v in state.nodes[x].scope)
+    best = None
+    for a, b in itertools.combinations(state.active, 2):
+        s1 = state.nodes[a].scope
+        s2 = state.nodes[b].scope
+        union = tuple(sorted(set(s1) | set(s2)))
+        result = tuple(
+            v for v in union
+            if v == state.query_var or held[v] > (v in s1) + (v in s2)
+        )
+        shape = CpShape(s1, s2, union, result, tuple(state.cards[v] for v in union))
+        assert state.candidate_shape(a, b) == shape
+        if machine is None:
+            key = (shape.multiply_count, shape.result_size)
+        else:
+            key = (costmodel.parallel_cp_cost(shape, machine).t_p, shape.result_size)
+        if best is None or key < best[0]:
+            best = (key, (a, b))
+    return best[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=5),
+             min_size=2, max_size=10),
+    st.lists(st.integers(2, 5), min_size=10, max_size=10),
+    st.booleans(),
+    st.sampled_from((None,) + RESCAN_MACHINES),
+)
+def test_builder_matches_full_rescan_at_every_step(scope_sets, card_list,
+                                                   binary, machine):
+    scopes = [tuple(sorted(s)) for s in scope_sets]
+    query = scopes[0][0]
+    cards = {v: 2 if binary else c for v, c in enumerate(card_list)}
+    if machine is None:
+        tree = build_set_factoring(scopes, cards, query)
+    else:
+        tree = build_set_factoring_c(scopes, cards, query, machine)
+    state = factoring._BuildState(scopes, cards, query)
+    for node in tree.nodes[len(scopes):]:
+        assert (node.left, node.right) == rescan_best_pair(state, machine)
+        state.combine(node.left, node.right)
+    assert tuple(state.nodes) == tree.nodes
 
 
 def test_build_is_deterministic():

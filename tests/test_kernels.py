@@ -1,95 +1,18 @@
-"""Lane equivalence: the numba kernels and the vectorized numpy fallbacks
-must make identical decisions and deliver matching tables."""
-
-import os
-import subprocess
-import sys
+"""The product+sum kernel against the unfused factor algebra, and the
+time-keyed builder against the exact planner costs."""
 
 import numpy as np
-import pytest
 
-from conftest import build_instance, small_net
-from factorcube import _kernels, costmodel, factoring, network
+import factorcube
+from factorcube import _kernels, costmodel, factoring
 from factorcube import factors as fa
-from factorcube.cli import net_seed
 
 
-@pytest.fixture
-def each_backend():
-    """Yields a runner that evaluates a callable under both lanes."""
-    available = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
-
-    def run(fn):
-        out = {}
-        for name in available:
-            prev = _kernels.set_backend(name)
-            try:
-                out[name] = fn()
-            finally:
-                _kernels.set_backend(prev)
-        return out
-
-    return run
+def test_backend_is_numpy():
+    assert factorcube.backend() == "numpy"
 
 
-def test_backend_resolution_rules():
-    assert _kernels._resolve_backend("0") == "numpy"
-    assert _kernels._resolve_backend("false") == "numpy"
-    assert _kernels._resolve_backend("no") == "numpy"
-    expected = "numba" if _kernels.HAS_NUMBA else "numpy"
-    assert _kernels._resolve_backend(None) == expected
-    assert _kernels._resolve_backend("1") == expected
-
-
-def test_set_backend_round_trip():
-    current = _kernels.backend()
-    prev = _kernels.set_backend("numpy")
-    assert prev == current
-    assert _kernels.backend() == "numpy"
-    _kernels.set_backend(prev if prev else "numpy")
-    _kernels.set_backend(current)
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
-
-
-def test_env_flag_forces_numpy_lane():
-    env = dict(os.environ, FACTORCUBE_USE_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "import factorcube; print(factorcube.backend())"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_trees_identical_across_lanes(each_backend):
-    for i in (1, 2, 3, 4, 5, 6):
-        net, query = network.random_net(
-            network.NetGenParams(seed=net_seed(424242, i))
-        )
-        scopes, cards, _ = factoring.scopes_for_query(net, query)
-
-        for heuristic in factoring.HEURISTICS:
-            got = each_backend(
-                lambda: factoring.build_tree(
-                    heuristic, scopes, cards, query.query_var,
-                    costmodel.DEFAULT_MACHINE,
-                )
-            )
-            trees = list(got.values())
-            for other in trees[1:]:
-                assert other.nodes == trees[0].nodes, heuristic
-
-
-def test_posteriors_agree_across_lanes(each_backend):
-    for i in (3, 9, 14):
-        net, query = small_net(i)
-        got = each_backend(lambda: factoring.posterior(net, query))
-        posts = list(got.values())
-        for other in posts[1:]:
-            np.testing.assert_allclose(other.table, posts[0].table, rtol=1e-12)
-
-
-def test_product_sum_matches_unfused_algebra(each_backend):
+def test_product_sum_matches_unfused_algebra():
     rng = np.random.default_rng(2)
     for _ in range(25):
         nv = int(rng.integers(1, 7))
@@ -109,16 +32,11 @@ def test_product_sum_matches_unfused_algebra(each_backend):
         want = fa.marginalize_out(
             fa.conformal_product(f1, f2), set(union) - set(keep)
         )
-        got = each_backend(
-            lambda: _kernels.product_sum(
-                f1.table, v1, f2.table, v2, union, cards, keep
-            )
-        )
-        for table in got.values():
-            np.testing.assert_allclose(table, want.table, rtol=1e-12)
+        got = _kernels.product_sum(f1.table, v1, f2.table, v2, union, cards, keep)
+        np.testing.assert_allclose(got, want.table, rtol=1e-12)
 
 
-def test_product_sum_medium_dimension(each_backend):
+def test_product_sum_medium_dimension():
     rng = np.random.default_rng(4)
     u = 18
     vars1 = tuple(range(u - 3))
@@ -128,78 +46,16 @@ def test_product_sum_medium_dimension(each_backend):
     keep = union[2:9]
     t1 = rng.random(2 ** len(vars1))
     t2 = rng.random(2 ** len(vars2))
-    got = each_backend(
-        lambda: _kernels.product_sum(t1, vars1, t2, vars2, union, cards, keep)
-    )
+    got = _kernels.product_sum(t1, vars1, t2, vars2, union, cards, keep)
     f1 = fa.Factor(vars1, (2,) * len(vars1), t1)
     f2 = fa.Factor(vars2, (2,) * len(vars2), t2)
     want = fa.marginalize_out(fa.conformal_product(f1, f2), set(union) - set(keep))
-    for table in got.values():
-        np.testing.assert_allclose(table, want.table, rtol=1e-12)
-
-
-def _sequential_pour(e1, e2, cap1, cap2, rem):
-    t1 = t2 = 0
-    for _ in range(rem):
-        first_available = t1 < cap1
-        second_available = t2 < cap2
-        if first_available and (not second_available or e1 - t1 >= e2 - t2):
-            t1 += 1
-        else:
-            t2 += 1
-    return t1, t2
-
-
-def test_pour_closed_form_matches_sequential_grid():
-    for e1 in range(9):
-        for e2 in range(9):
-            for cap1 in range(6):
-                for cap2 in range(6):
-                    for rem in range(cap1 + cap2 + 1):
-                        want = _sequential_pour(e1, e2, cap1, cap2, rem)
-                        assert _kernels._pour(e1, e2, cap1, cap2, rem) == want
-                        if _kernels.HAS_NUMBA:
-                            assert _kernels._pour_nb(e1, e2, cap1, cap2, rem) == want
-
-
-def test_pour_matches_planner_split_classes():
-    # plan_split's sequential slice-balancing and the kernels' closed form
-    # must allocate the same number of split vars per input
-    rng = np.random.default_rng(8)
-    machine = costmodel.MachineParams(g_min=1, n_a=1 << 14)
-    for _ in range(300):
-        d1 = int(rng.integers(1, 10))
-        d2 = int(rng.integers(1, 10))
-        shared = int(rng.integers(0, min(d1, d2) + 1))
-        union = d1 + d2 - shared
-        summed = int(rng.integers(0, union))
-        vars1 = tuple(range(d1))
-        vars2 = tuple(range(d1 - shared, d1 - shared + d2))
-        all_union = tuple(sorted(set(vars1) | set(vars2)))
-        result = all_union[summed:]
-        shape = factoring.CpShape(vars1, vars2, all_union, result,
-                                  (2,) * union)
-        plan = costmodel.plan_split(shape, machine)
-        if plan.n_u == 1:
-            continue
-        s = plan.d_max
-        in1, in2 = set(vars1), set(vars2)
-        shared_res = [v for v in result if v in in1 and v in in2]
-        only1 = [v for v in result if v in in1 and v not in in2]
-        only2 = [v for v in result if v in in2 and v not in in1]
-        nshu = min(s, len(shared_res))
-        t1, t2 = _kernels._pour(
-            d1 - nshu, d2 - nshu, len(only1), len(only2), s - nshu
-        )
-        got1 = sum(1 for v in plan.split_vars if v in in1 and v not in in2)
-        got2 = sum(1 for v in plan.split_vars if v in in2 and v not in in1)
-        gotsh = sum(1 for v in plan.split_vars if v in in1 and v in in2)
-        assert (gotsh, got1, got2) == (nshu, t1, t2)
+    np.testing.assert_allclose(got, want.table, rtol=1e-12)
 
 
 def test_time_key_selection_dominates_exact_costs():
-    # the pair picked by the fast lanes must be optimal under the exact
-    # Fraction-based planner costs (instances small enough to be exact)
+    # the builder's time key is the planner's t_p bit for bit, and its first
+    # pair is optimal under the exact planner costs
     rng = np.random.default_rng(5)
     machine = costmodel.DEFAULT_MACHINE
     for _ in range(40):
@@ -213,49 +69,11 @@ def test_time_key_selection_dominates_exact_costs():
         query = int(rng.choice(sorted({v for s in scopes for v in s})))
         cards = {v: 2 for v in range(nv)}
         state = factoring._BuildState(scopes, cards, query)
-        present, cnt, sizes, qcol = state.kernel_views()
-        scalars = _kernels.machine_scalars(machine)
-        a, b = _kernels.select_pair_time(present, cnt, sizes, qcol, scalars)
-        chosen = costmodel.parallel_cp_cost(
-            state.candidate_shape(a, b), machine
-        ).t_p
-        best = min(
-            costmodel.parallel_cp_cost(state.candidate_shape(i, j), machine).t_p
-            for i in range(k) for j in range(i + 1, k)
-        )
-        assert chosen == pytest.approx(best, rel=1e-12)
-
-
-def test_experiment_tables_are_lane_identical(each_backend, tmp_path):
-    from factorcube.cli import main
-
-    def run_into(label):
-        out = tmp_path / f"{label}-{_kernels.backend()}"
-        code = main(["experiment", "--count", "4", "--seed", "606",
-                     "--nodes", "20..60", "--out", str(out)])
-        assert code == 0
-        return {p.name: p.read_bytes() for p in out.glob("*.csv")}
-
-    got = each_backend(lambda: run_into("run"))
-    tables = list(got.values())
-    for other in tables[1:]:
-        assert other == tables[0]
-
-
-def test_work_key_selection_is_lane_identical(each_backend):
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        nv = int(rng.integers(3, 10))
-        k = int(rng.integers(2, 10))
-        scopes = [
-            tuple(sorted(rng.choice(nv, size=int(rng.integers(1, nv + 1)),
-                                    replace=False).tolist()))
-            for _ in range(k)
-        ]
-        query = int(rng.choice(sorted({v for s in scopes for v in s})))
-        state = factoring._BuildState(scopes, {v: 2 for v in range(nv)}, query)
-        present, cnt, sizes, qcol = state.kernel_views()
-        got = each_backend(
-            lambda: _kernels.select_pair_work(present, cnt, qcol)
-        )
-        assert len(set(got.values())) == 1
+        exact = {}
+        for i in range(k):
+            for j in range(i + 1, k):
+                shape = state.candidate_shape(i, j)
+                exact[i, j] = costmodel.parallel_cp_cost(shape, machine).t_p
+                assert state.time_key(i, j, machine) == (exact[i, j], shape.result_size)
+        first = factoring.build_set_factoring_c(scopes, cards, query, machine).nodes[k]
+        assert exact[first.left, first.right] == min(exact.values())
