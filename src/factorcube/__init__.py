@@ -50,7 +50,6 @@ from .metrics import (
     ReportRow,
     build_report_rows,
     speedup_cost_efficiency,
-    tree_parallelism_row,
 )
 from .network import (
     BeliefNet,

@@ -160,17 +160,6 @@ def _load_net_or_tree(path):
     raise network.NetFormatError(f"{path}: unrecognized format {kind!r}")
 
 
-class _TreeOnlyNet:
-    """Minimal net stand-in so a bare tree file can still fill a row."""
-
-    def __init__(self, tree):
-        self.node_count = len(tree.var_cards)
-        self.arc_count = 0
-
-    def avg_in_arcs(self) -> float:
-        return 0.0
-
-
 def _rows_for_net(net, query, heuristics, machine, net_index):
     scopes, cards, _ = factoring.scopes_for_query(net, query)
     trees = {
@@ -268,9 +257,8 @@ def cmd_simulate(args) -> int:
         rows = _rows_for_net(net, query, heuristics, machine, 1)
     else:
         tree = loaded
-        dummy = _TreeOnlyNet(tree)
         query = network.QuerySpec(tree.query_var, {})
-        rows = metrics.build_report_rows(dummy, query, {"tree": tree}, machine, 1)
+        rows = metrics.build_report_rows(None, query, {"tree": tree}, machine, 1)
     for heuristic, row in rows.items():
         print(metrics.table_text([row], metrics.RESULTS_TABLE_COLUMNS,
                                  title=f"results ({heuristic})"))

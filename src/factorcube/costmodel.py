@@ -8,13 +8,13 @@ worker over a log spanning tree, and collects the result slices the same
 way.  A distributed-net variant keeps all data resident everywhere and
 pays only to gather and rebroadcast each intermediate result.
 
-Byte quantities are kept exact (integers or rationals) so the accounting
-identities hold bit for bit; times are float64 microseconds.
+Byte quantities are exact integers, and every quotient of them is rounded
+to float once, so the accounting identities hold bit for bit; times are
+float64 microseconds.
 """
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 MACHINE_KEYS = (
     "alpha", "c_st", "c_b", "p_init", "s_setup", "b_buffer",
@@ -91,18 +91,17 @@ class SplitPlan:
     """How one conformal product is spread over the cube.
 
     split_vars: result variables whose joint assignment indexes the
-    processors; g: multiplies per processor; d_max: cube dimension used;
-    b_d / b_r: bytes sent to / returned from each worker; b_total: bytes
-    distributed overall.  Byte fields are exact rationals.
+    processors; d_max: cube dimension used; b_d: bytes sent to each worker;
+    b_result: bytes of the whole result table, which the n_u workers
+    return in equal shares of b_result / n_u.  Both are 0 for an
+    undistributed product.
     """
 
     split_vars: tuple[int, ...]
     n_u: int
-    g: Fraction
     d_max: int
-    b_d: Fraction
-    b_r: Fraction
-    b_total: Fraction
+    b_d: int
+    b_result: int
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,13 @@ class CpCost:
 
 @dataclass(frozen=True)
 class QueryCost:
+    """Every product's cost, in creation order, with the products' node
+    ids, the tree's `factoring.TreeStats` and the machine costed on."""
+
     per_cp: tuple[CpCost, ...]
+    node_ids: tuple[int, ...]
+    stats: object
+    machine: MachineParams
     t_s_query: float
     t_p_query: float
     n_u_query: int
@@ -194,7 +199,7 @@ def plan_split(shape, machine: MachineParams) -> SplitPlan:
     rsize = shape.result_size
     n_u = processor_count(m, rsize, machine)
     if n_u == 1:
-        return SplitPlan((), 1, Fraction(m), 0, Fraction(0), Fraction(0), Fraction(0))
+        return SplitPlan((), 1, 0, 0, 0)
 
     cards = dict(zip(shape.union_vars, shape.cards))
     in1 = set(shape.vars1)
@@ -206,15 +211,12 @@ def plan_split(shape, machine: MachineParams) -> SplitPlan:
         cards, shape.size1, shape.size2, n_u,
     )
     bpe = machine.bytes_per_entry
-    b_d = Fraction(bpe * entries)
     return SplitPlan(
         split_vars=tuple(split),
         n_u=n_u,
-        g=Fraction(m, n_u),
         d_max=n_u.bit_length() - 1,
-        b_d=b_d,
-        b_r=Fraction(bpe * rsize, n_u),
-        b_total=n_u * b_d,
+        b_d=bpe * entries,
+        b_result=bpe * rsize,
     )
 
 
@@ -228,27 +230,26 @@ def comm_distribute(plan: SplitPlan, machine: MachineParams) -> float:
     """Spanning-tree cost of shipping each worker its input slice."""
     if plan.n_u == 1:
         return 0.0
-    return _spanning_tree_time(plan.d_max, plan.n_u, float(plan.b_d), machine)
+    return _spanning_tree_time(plan.d_max, plan.n_u, plan.b_d, machine)
 
 
 def comm_return(plan: SplitPlan, machine: MachineParams) -> float:
     """Spanning-tree cost of collecting the result slices."""
     if plan.n_u == 1:
         return 0.0
-    return _spanning_tree_time(plan.d_max, plan.n_u, float(plan.b_r), machine)
+    return _spanning_tree_time(plan.d_max, plan.n_u, plan.b_result / plan.n_u, machine)
 
 
 def bca_time(multiplies: int, result_size: int, n_u: int, b_d, machine: MachineParams):
     """(w, c_d, c_r, t_p) of a product spread over n_u > 1 workers, each
-    sent b_d bytes (an exact integer or rational) and returning its share
-    of the result table.
+    sent b_d bytes and returning its share of the result table.
 
-    Every quotient is rounded to float once, from exact operands, so the
-    times equal those computed from a SplitPlan's exact fields.
+    Every quotient is rounded to float once, from exact integers, so the
+    times equal those computed from a SplitPlan's fields.
     """
     d_max = n_u.bit_length() - 1
     w = machine.alpha * (multiplies / n_u)
-    c_d = _spanning_tree_time(d_max, n_u, float(b_d), machine)
+    c_d = _spanning_tree_time(d_max, n_u, b_d, machine)
     b_r = machine.bytes_per_entry * result_size / n_u
     c_r = _spanning_tree_time(d_max, n_u, b_r, machine)
     t_p = (
@@ -273,24 +274,22 @@ def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
     return CpCost(t_s, t_p, w, c_d, c_r, plan.n_u, shape, plan)
 
 
-def _tree_shapes(tree):
-    """(node_id, CpShape) for every product node, children before parents."""
-    from .factoring import tree_stats
-
-    stats = tree_stats(tree)
-    ids = [i for i, n in enumerate(tree.nodes) if not n.is_leaf]
-    return list(zip(ids, stats.shapes))
-
-
 def query_costs(tree, machine: MachineParams) -> QueryCost:
-    """Per-product costs and their query-level sums.
+    """The one cost pass of a tree: each product's shape, split plan and
+    cost, derived once, with their query-level sums.
 
     Sequential products contribute their full t_s to the computation
     total; only distributed products contribute communication.
     """
-    per = tuple(parallel_cp_cost(sh, machine) for _, sh in _tree_shapes(tree))
+    from . import factoring
+
+    stats = factoring.tree_stats(tree)
+    per = tuple(parallel_cp_cost(sh, machine) for sh in stats.shapes)
     return QueryCost(
         per_cp=per,
+        node_ids=tuple(i for i, n in enumerate(tree.nodes) if not n.is_leaf),
+        stats=stats,
+        machine=machine,
         t_s_query=sum(c.t_s for c in per),
         t_p_query=sum(c.t_p for c in per),
         n_u_query=max((c.n_u for c in per), default=1),
@@ -299,7 +298,7 @@ def query_costs(tree, machine: MachineParams) -> QueryCost:
     )
 
 
-def longest_path(tree, machine: MachineParams) -> LongestPath:
+def longest_path(tree, qc: QueryCost) -> LongestPath:
     """The root-to-leaf path whose products cost the most sequentially.
 
     seq_time sums the sequential product times along that path: the floor
@@ -308,33 +307,32 @@ def longest_path(tree, machine: MachineParams) -> LongestPath:
     parallel times, pricing tree-level concurrency on top of per-product
     distribution; concurrent subtrees are assumed to find processors
     beyond the per-product allotment, so each product keeps the cost it
-    has in the plain query run.  Requires children to precede parents in
-    the node list, which built and saved trees guarantee.
+    has in the plain query run.  `qc` is the tree's `query_costs`.
+    Requires children to precede parents in the node list, which built
+    and loaded trees guarantee.
     """
-    shapes = dict(_tree_shapes(tree))
-    t_s = {i: seq_cp_cost(sh, machine) for i, sh in shapes.items()}
+    cost = dict(zip(qc.node_ids, qc.per_cp))
     below: dict[int, float] = {}
     for i, node in enumerate(tree.nodes):
         if node.is_leaf:
             below[i] = 0.0
         else:
-            below[i] = t_s[i] + max(below[node.left], below[node.right])
+            below[i] = cost[i].t_s + max(below[node.left], below[node.right])
     path = []
     at = tree.root
     while not tree.nodes[at].is_leaf:
         path.append(at)
         node = tree.nodes[at]
         at = node.left if below[node.left] >= below[node.right] else node.right
-    par_time = sum(parallel_cp_cost(shapes[i], machine).t_p for i in path)
     return LongestPath(
         cp_count=len(path),
-        seq_time=sum(t_s[i] for i in path),
-        par_time=par_time,
+        seq_time=sum(cost[i].t_s for i in path),
+        par_time=sum(cost[i].t_p for i in path),
         node_ids=tuple(path),
     )
 
 
-def distnet_cp_comm(shape, plan: SplitPlan, machine: MachineParams) -> float:
+def distnet_cp_comm(plan: SplitPlan, machine: MachineParams) -> float:
     """Distributed-net communication for one product: the result slices
     are gathered and the assembled result broadcast back, so the return
     path is paid twice and there is no input distribution."""
@@ -343,27 +341,29 @@ def distnet_cp_comm(shape, plan: SplitPlan, machine: MachineParams) -> float:
     return 2.0 * comm_return(plan, machine)
 
 
-def memory_accounting(tree, machine: MachineParams):
+def memory_accounting(tree, qc: QueryCost):
     """Per-processor byte estimates: (bca_mem, bca_mem_excl_final, dist_mem).
 
     bca_mem totals the bytes moved to and from one worker over all
     products; bca_mem_excl_final drops the root product, whose limited
     split inflates the figure; dist_mem is the resident footprint of the
     biggest product when inputs and result all live on every processor.
+    `qc` is the tree's `query_costs`.
+
+    A worker returns b_result / 2**d_max bytes, so the sums are kept as
+    exact integers scaled by 2**D, D the largest d_max, and divided once.
     """
-    items = _tree_shapes(tree)
-    if not items:
+    if not qc.per_cp:
         return 0.0, 0.0, 0.0
-    root_id = tree.root
-    total = Fraction(0)
-    total_excl = Fraction(0)
-    biggest = 0
-    for node_id, shape in items:
-        plan = plan_split(shape, machine)
-        moved = plan.b_d + plan.b_r
+    top = max(c.plan.d_max for c in qc.per_cp)
+    total = total_excl = biggest = 0
+    for node_id, c in zip(qc.node_ids, qc.per_cp):
+        plan = c.plan
+        moved = (plan.b_d << top) + (plan.b_result << (top - plan.d_max))
         total += moved
-        if node_id != root_id:
+        if node_id != tree.root:
             total_excl += moved
-        biggest = max(biggest, shape.size1 + shape.size2 + shape.result_size)
-    dist_mem = float(machine.bytes_per_entry * biggest)
-    return float(total), float(total_excl), dist_mem
+        biggest = max(biggest, c.shape.size1 + c.shape.size2 + c.shape.result_size)
+    scale = 1 << top
+    dist_mem = float(qc.machine.bytes_per_entry * biggest)
+    return total / scale, total_excl / scale, dist_mem

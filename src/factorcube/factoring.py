@@ -566,4 +566,18 @@ def load_tree(path) -> EvalTree:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise network.NetFormatError(f"{path}: malformed tree file ({exc})") from exc
+    # children before parents, each node used once: the order every pass
+    # over the node list relies on
+    seen = set()
+    for i, node in enumerate(tree.nodes):
+        for child in () if node.is_leaf else (node.left, node.right):
+            if not 0 <= child < i:
+                raise network.NetFormatError(
+                    f"{path}: node {i} has child {child}, not an earlier node"
+                )
+            if child in seen:
+                raise network.NetFormatError(f"{path}: node {child} is a child twice")
+            seen.add(child)
+    if not 0 <= tree.root < len(tree.nodes):
+        raise network.NetFormatError(f"{path}: root {tree.root} is not a node")
     return tree

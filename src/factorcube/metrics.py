@@ -62,31 +62,13 @@ def speedup_cost_efficiency(t_s: float, t_p: float, n_u: int):
     return speedup, t_p * n_u, speedup / n_u
 
 
-def tree_parallelism_row(tree, machine, seq_time_best: float | None = None):
-    """(para_cp, pct_cp, lp_cp, lp_speedup, lp_pct_cp, pct_time).
-
-    para_cp counts the products big enough to distribute; the lp columns
-    price the heaviest root-to-leaf path with the processor cap lifted
-    and compare it with running every product one after another.
-    """
-    qc = costmodel.query_costs(tree, machine)
-    lp = costmodel.longest_path(tree, machine)
-    if seq_time_best is None:
-        seq_time_best = qc.t_s_query
-    cp_count = len(qc.per_cp)
-    para_cp = sum(1 for c in qc.per_cp if c.n_u > 1)
-    pct_cp = para_cp / cp_count if cp_count else 0.0
-    lp_speedup = seq_time_best / lp.par_time if lp.par_time > 0 else 1.0
-    lp_pct_cp = lp.cp_count / cp_count if cp_count else 0.0
-    pct_time = lp.par_time / qc.t_p_query if qc.t_p_query > 0 else 1.0
-    return para_cp, pct_cp, lp.cp_count, lp_speedup, lp_pct_cp, pct_time
-
-
 def build_report_rows(
     net, query, trees: dict[str, "factoring.EvalTree"], machine, net_index: int = 1
 ) -> dict[str, ReportRow]:
     """One row per heuristic; absolute speedup is taken against the best
-    sequential time among the supplied trees."""
+    sequential time among the supplied trees.  Every figure comes from one
+    `query_costs` pass per tree.  With net None (a bare tree file), nodes
+    counts the tree's variables and arcs reads 0."""
     if not trees:
         raise ValueError("at least one heuristic's tree is required")
     costs = {h: costmodel.query_costs(t, machine) for h, t in trees.items()}
@@ -94,12 +76,10 @@ def build_report_rows(
     rows = {}
     for heuristic, tree in trees.items():
         qc = costs[heuristic]
-        stats = factoring.tree_stats(tree)
-        lp = costmodel.longest_path(tree, machine)
-        bca_mem, memory, dist_mem = costmodel.memory_accounting(tree, machine)
-        dist_cm = sum(
-            costmodel.distnet_cp_comm(c.shape, c.plan, machine) for c in qc.per_cp
-        )
+        stats = qc.stats
+        lp = costmodel.longest_path(tree, qc)
+        bca_mem, memory, dist_mem = costmodel.memory_accounting(tree, qc)
+        dist_cm = sum(costmodel.distnet_cp_comm(c.plan, machine) for c in qc.per_cp)
         t_s = qc.t_s_query
         t_p = qc.t_p_query
         r_spdp = t_s / t_p if t_p > 0 else 1.0
@@ -110,8 +90,8 @@ def build_report_rows(
         rows[heuristic] = ReportRow(
             net_index=net_index,
             heuristic=heuristic,
-            nodes=net.node_count,
-            arcs=net.avg_in_arcs(),
+            nodes=len(tree.var_cards) if net is None else net.node_count,
+            arcs=0.0 if net is None else net.avg_in_arcs(),
             obs=len(query.evidence),
             factors=tree.leaf_count,
             cp_count=cp_count,

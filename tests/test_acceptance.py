@@ -58,16 +58,12 @@ def test_criterion_1_oracle_equivalence(small_corpus):
 
 
 def test_criterion_2_cost_formula_exactness():
-    from fractions import Fraction
-
     shape4 = factoring.CpShape((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3),
                                (0,), (2, 2, 2, 2))
     t_s = costmodel.seq_cp_cost(shape4, DEFAULT_MACHINE)
-    plan_d = costmodel.SplitPlan((), 1024, Fraction(1), 10, Fraction(4096),
-                                 Fraction(0), Fraction(4096) * 1024)
+    plan_d = costmodel.SplitPlan((), 1024, 10, 4096, 0)
     c_d = costmodel.comm_distribute(plan_d, DEFAULT_MACHINE)
-    plan_r = costmodel.SplitPlan((), 1024, Fraction(1), 10, Fraction(0),
-                                 Fraction(1), Fraction(0))
+    plan_r = costmodel.SplitPlan((), 1024, 10, 0, 1024)  # 1 byte per worker
     c_r = costmodel.comm_return(plan_r, DEFAULT_MACHINE)
     sce = metrics.speedup_cost_efficiency(1000.0, 100.0, 16)
     ok = (

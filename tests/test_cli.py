@@ -246,6 +246,46 @@ def test_simulate_rejects_unknown_format(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+def _tree_file(path, products, root):
+    """Tree file over leaves (0,) and (0, 1) (nodes 0 and 1), query 0;
+    each product is (left, right), summing out variable 1."""
+    nodes = [{"factor": 0, "scope": [0]}, {"factor": 1, "scope": [0, 1]}]
+    nodes += [
+        {"left": left, "right": right, "sum_out": [1], "scope": [0]}
+        for left, right in products
+    ]
+    path.write_text(json.dumps({
+        "format": factoring.TREE_FORMAT, "query_var": 0,
+        "vars": [[0, 2], [1, 2]], "root": root, "nodes": nodes,
+    }))
+
+
+def test_simulate_accepts_hand_written_tree(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    _tree_file(path, [(0, 1)], 2)
+    code, out, _ = run(capsys, "simulate", str(path))
+    assert code == 0
+    assert "results (tree)" in out
+
+
+@pytest.mark.parametrize("products, root", [
+    pytest.param([(0, 5)], 2, id="child-out-of-range"),
+    pytest.param([(0, -1)], 2, id="negative-child"),
+    pytest.param([(0, 3), (0, 1)], 3, id="child-after-parent"),
+    pytest.param([(2, 1)], 2, id="own-descendant"),
+    pytest.param([(0, 0)], 2, id="same-child-twice"),
+    pytest.param([(0, 1), (0, 2)], 3, id="shared-child"),
+    pytest.param([(0, 1)], 3, id="root-out-of-range"),
+    pytest.param([(0, 1)], -1, id="negative-root"),
+])
+def test_simulate_rejects_malformed_tree(tmp_path, capsys, products, root):
+    path = tmp_path / "t.json"
+    _tree_file(path, products, root)
+    code, _, err = run(capsys, "simulate", str(path))
+    assert code == EXIT_PARSE
+    assert str(path) in err
+
+
 def test_simulate_malformed_machine_config(tmp_path, capsys):
     npath = tmp_path / "n.json"
     write_two_node_net(npath)

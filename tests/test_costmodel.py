@@ -84,15 +84,17 @@ def test_seq_cost_examples():
 def test_plan_split_saturates_all_constraints():
     shape = plain_shape(20, 12)
     plan = plan_split(shape, DEFAULT_MACHINE)
-    assert (plan.n_u, plan.g, plan.d_max) == (1024, 1024, 10)
-    assert plan.g >= DEFAULT_MACHINE.g_min
+    g = shape.multiply_count // plan.n_u  # multiplies per processor
+    assert g * plan.n_u == shape.multiply_count
+    assert (plan.n_u, g, plan.d_max) == (1024, 1024, 10)
+    assert g >= DEFAULT_MACHINE.g_min
     assert plan.n_u <= shape.result_size
 
 
 def test_plan_split_sequential_fallback_under_grainsize():
     plan = plan_split(plain_shape(8, 8), DEFAULT_MACHINE)
     assert plan.n_u == 1
-    assert plan.b_d == 0 and plan.b_r == 0
+    assert plan.b_d == 0 and plan.b_result == 0
 
 
 def test_plan_split_prefers_shared_variables():
@@ -108,7 +110,7 @@ def test_plan_split_prefers_shared_variables():
         return 2 * 4 * (Fraction(shape.size1, k1) + Fraction(shape.size2, k2))
 
     candidates = {v: b_total_for(v) for v in (0, 1, 3)}
-    assert plan.b_total == min(candidates.values())
+    assert plan.n_u * plan.b_d == min(candidates.values())
     assert candidates[1] < candidates[0] and candidates[1] < candidates[3]
 
 
@@ -209,19 +211,23 @@ def test_choose_split_matches_fraction_slices():
 
 
 def test_byte_accounting_is_exact():
+    bpe = DEFAULT_MACHINE.bytes_per_entry
     for shape in (plain_shape(20, 12), binary_shape(14, 11, 6, 3)):
         plan = plan_split(shape, DEFAULT_MACHINE)
-        assert plan.b_d * plan.n_u == plan.b_total
-        assert plan.b_r * plan.n_u == (
-            DEFAULT_MACHINE.bytes_per_entry * shape.result_size
-        )
+        # each worker gets one slice of each input, cut by the split vars
+        k1 = math.prod(2 for v in plan.split_vars if v in shape.vars1)
+        k2 = math.prod(2 for v in plan.split_vars if v in shape.vars2)
+        assert shape.size1 % k1 == 0 and shape.size2 % k2 == 0
+        assert plan.b_d == bpe * (shape.size1 // k1 + shape.size2 // k2)
+        assert plan.b_result == bpe * shape.result_size
+        assert plan.b_result % plan.n_u == 0  # whole bytes per worker here
 
 
 # -- communication formulas --------------------------------------------------
 
 def mk_plan(n_u, d_max, b_d, b_r):
-    return SplitPlan((), n_u, Fraction(1), d_max, Fraction(b_d), Fraction(b_r),
-                     Fraction(b_d) * n_u)
+    """A plan sending b_d bytes to and returning b_r bytes from each worker."""
+    return SplitPlan((), n_u, d_max, b_d, b_r * n_u)
 
 
 def test_distribute_cost_formula():
@@ -313,9 +319,9 @@ def test_query_costs_sums_match_second_traversal(protocol_corpus):
 def test_longest_path_of_chain_contains_every_product():
     scopes = [(0, 1), (1, 2), (2, 3), (3, 4)]
     tree = build_chain_baseline(scopes, B2, 0)
-    lp = longest_path(tree, DEFAULT_MACHINE)
-    assert lp.cp_count == tree.cp_count == 3
     qc = query_costs(tree, DEFAULT_MACHINE)
+    lp = longest_path(tree, qc)
+    assert lp.cp_count == tree.cp_count == 3
     assert lp.seq_time == qc.t_s_query
     assert lp.par_time == qc.t_p_query
 
@@ -327,7 +333,7 @@ def test_longest_path_of_balanced_tree_is_depth():
     internal = [n for n in tree.nodes if not n.is_leaf]
     kids = {(n.left, n.right) for n in internal}
     assert (0, 1) in kids and (2, 3) in kids
-    lp = longest_path(tree, DEFAULT_MACHINE)
+    lp = longest_path(tree, query_costs(tree, DEFAULT_MACHINE))
     assert tree.cp_count == 3
     assert lp.cp_count == 2
 
@@ -336,7 +342,7 @@ def test_longest_path_bounded_by_query_totals(protocol_corpus):
     for inst in protocol_corpus[:25]:
         for tree in inst["trees"].values():
             qc = query_costs(tree, DEFAULT_MACHINE)
-            lp = longest_path(tree, DEFAULT_MACHINE)
+            lp = longest_path(tree, qc)
             assert lp.seq_time <= qc.t_s_query * (1 + 1e-12)
             assert lp.par_time <= qc.t_p_query * (1 + 1e-12)
 
@@ -345,36 +351,37 @@ def test_longest_path_bounded_by_query_totals(protocol_corpus):
 
 def test_distnet_doubles_return_cost():
     plan = mk_plan(1024, 10, 0, 1)
-    shape = plain_shape(18, 8)
-    assert distnet_cp_comm(shape, plan, DEFAULT_MACHINE) == 2 * 2811.5 == 5623.0
+    assert distnet_cp_comm(plan, DEFAULT_MACHINE) == 2 * 2811.5 == 5623.0
 
 
 def test_distnet_zero_cases():
-    shape = plain_shape(18, 8)
-    assert distnet_cp_comm(shape, mk_plan(1, 0, 0, 9), DEFAULT_MACHINE) == 0.0
-    assert distnet_cp_comm(shape, mk_plan(8, 3, 0, 0), DEFAULT_MACHINE) == 2 * 3 * 230.0
+    assert distnet_cp_comm(mk_plan(1, 0, 0, 9), DEFAULT_MACHINE) == 0.0
+    assert distnet_cp_comm(mk_plan(8, 3, 0, 0), DEFAULT_MACHINE) == 2 * 3 * 230.0
 
 
 def test_memory_accounting_single_product():
     tree = build_set_factoring([(0, 1), (1, 2)], B2, 0)
-    bca, bca_excl, dist = memory_accounting(tree, DEFAULT_MACHINE)
+    qc = query_costs(tree, DEFAULT_MACHINE)
+    bca, bca_excl, dist = memory_accounting(tree, qc)
     assert dist == 4 * (4 + 4 + 2) == 40.0
     assert bca == bca_excl == 0.0  # under grainsize: nothing distributed
 
 
 def test_memory_accounting_leaf_only():
     tree = build_set_factoring([(0,)], B2, 0)
-    assert memory_accounting(tree, DEFAULT_MACHINE) == (0.0, 0.0, 0.0)
+    qc = query_costs(tree, DEFAULT_MACHINE)
+    assert memory_accounting(tree, qc) == (0.0, 0.0, 0.0)
 
 
 def test_memory_excludes_root_product(protocol_corpus):
     inst = next(i for i in protocol_corpus if i["trees"]["set-factoring"].cp_count > 2)
     tree = inst["trees"]["set-factoring"]
-    bca, bca_excl, _ = memory_accounting(tree, DEFAULT_MACHINE)
     qc = query_costs(tree, DEFAULT_MACHINE)
+    bca, bca_excl, _ = memory_accounting(tree, qc)
     root_cost = qc.per_cp[-1]
+    assert qc.node_ids[-1] == tree.root
     assert bca - bca_excl == pytest.approx(
-        float(root_cost.plan.b_d + root_cost.plan.b_r), rel=1e-12
+        root_cost.plan.b_d + root_cost.plan.b_result / root_cost.n_u, rel=1e-12
     )
 
 

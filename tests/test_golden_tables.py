@@ -51,9 +51,8 @@ def nonbinary_digests(machine_name: str) -> dict[str, str]:
             h: factoring.build_tree(h, scopes, cards, query_var, machine)
             for h in factoring.HEURISTICS
         }
-        net = cli._TreeOnlyNet(trees["chain"])
         rows = metrics.build_report_rows(
-            net, network.QuerySpec(query_var, {}), trees, machine, seed + 1
+            None, network.QuerySpec(query_var, {}), trees, machine, seed + 1
         )
         out[f"nonbinary/{seed}/{machine_name}"] = _digest(
             metrics.details_csv(list(rows.values()))

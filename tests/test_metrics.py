@@ -11,7 +11,6 @@ from factorcube.metrics import (
     speedup_cost_efficiency,
     table_csv,
     table_text,
-    tree_parallelism_row,
 )
 
 B2 = {v: 2 for v in range(40)}
@@ -110,15 +109,19 @@ def test_unparallelizable_tree_has_unit_speedup():
 
 # -- tree-parallelism columns --------------------------------------------------
 
+def tree_row(tree):
+    """The report row of a bare tree, as `simulate` fills it."""
+    query = network.QuerySpec(tree.query_var, {})
+    return build_report_rows(None, query, {"tree": tree}, DEFAULT_MACHINE)["tree"]
+
+
 def test_tree_parallelism_left_deep_chain_covers_everything():
     scopes = [(0, 1), (1, 2), (2, 3), (3, 4)]
     tree = factoring.build_chain_baseline(scopes, B2, 0)
-    para, pct_cp, lp_cp, lp_spd, lp_pct, pct_time = tree_parallelism_row(
-        tree, DEFAULT_MACHINE
-    )
-    assert lp_cp == tree.cp_count
-    assert lp_pct == 1.0
-    assert pct_time == pytest.approx(1.0, rel=1e-12)
+    row = tree_row(tree)
+    assert row.lp_cp == tree.cp_count
+    assert row.lp_pct_cp == 1.0
+    assert row.pct_time == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tree_parallelism_below_grainsize():
@@ -126,12 +129,17 @@ def test_tree_parallelism_below_grainsize():
     tree = factoring.build_set_factoring(scopes, B2, 0)
     qc = costmodel.query_costs(tree, DEFAULT_MACHINE)
     assert all(c.n_u == 1 for c in qc.per_cp)
-    para, pct_cp, lp_cp, lp_spd, lp_pct, pct_time = tree_parallelism_row(
-        tree, DEFAULT_MACHINE, seq_time_best=qc.t_s_query
-    )
-    lp = costmodel.longest_path(tree, DEFAULT_MACHINE)
-    assert para == 0 and pct_cp == 0.0
-    assert lp_spd == pytest.approx(qc.t_s_query / lp.seq_time, rel=1e-12)
+    row = tree_row(tree)
+    lp = costmodel.longest_path(tree, qc)
+    assert row.seq_time_best == qc.t_s_query
+    assert row.para_cp == 0 and row.pct_cp == 0.0
+    assert row.lp_speedup == pytest.approx(qc.t_s_query / lp.seq_time, rel=1e-12)
+
+
+def test_bare_tree_row_counts_tree_variables():
+    tree = factoring.build_chain_baseline([(0, 1), (1, 2), (2, 3)], B2, 0)
+    row = tree_row(tree)
+    assert (row.nodes, row.arcs, row.obs) == (len(tree.var_cards), 0.0, 0)
 
 
 # -- rendering -----------------------------------------------------------------
