@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +76,12 @@ class CpShape:
     result_vars: tuple[int, ...]
     cards: tuple[int, ...]  # aligned with union_vars
 
+    @cached_property
+    def _card_of(self) -> dict[int, int]:
+        return dict(zip(self.union_vars, self.cards))
+
     def _prod(self, vs) -> int:
-        by_var = dict(zip(self.union_vars, self.cards))
-        return math.prod(by_var[v] for v in vs)
+        return math.prod(map(self._card_of.__getitem__, vs))
 
     @property
     def sum_out(self) -> tuple[int, ...]:
@@ -100,19 +104,19 @@ class CpShape:
     def r(self) -> int:
         return len(self.result_vars)
 
-    @property
+    @cached_property
     def multiply_count(self) -> int:
-        return self._prod(self.union_vars)
+        return math.prod(self.cards)
 
-    @property
+    @cached_property
     def size1(self) -> int:
         return self._prod(self.vars1)
 
-    @property
+    @cached_property
     def size2(self) -> int:
         return self._prod(self.vars2)
 
-    @property
+    @cached_property
     def result_size(self) -> int:
         return self._prod(self.result_vars)
 
