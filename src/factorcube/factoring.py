@@ -571,9 +571,11 @@ def load_tree(path) -> EvalTree:
     except (KeyError, TypeError, ValueError) as exc:
         raise network.NetFormatError(f"{path}: malformed tree file ({exc})") from exc
     # children before parents, each node used once: the order every pass
-    # over the node list relies on
+    # over the node list relies on; scopes only over declared variables
+    cards = tree.card_map()
     seen = set()
     for i, node in enumerate(tree.nodes):
+        held = set(node.scope) if node.is_leaf else set()
         for child in () if node.is_leaf else (node.left, node.right):
             if not 0 <= child < i:
                 raise network.NetFormatError(
@@ -582,6 +584,12 @@ def load_tree(path) -> EvalTree:
             if child in seen:
                 raise network.NetFormatError(f"{path}: node {child} is a child twice")
             seen.add(child)
+            held.update(tree.nodes[child].scope)
+        if not set(node.scope) <= held or not held <= cards.keys():
+            raise network.NetFormatError(
+                f"{path}: node {i} holds a variable that is not declared "
+                f"or not held by its children"
+            )
     if not 0 <= tree.root < len(tree.nodes):
         raise network.NetFormatError(f"{path}: root {tree.root} is not a node")
     return tree

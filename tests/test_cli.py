@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from factorcube import cli, factoring, network
-from factorcube.cli import EXIT_CAP, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
+from factorcube.cli import (
+    EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main,
+)
 
 
 def run(capsys, *argv):
@@ -246,41 +248,49 @@ def test_simulate_rejects_unknown_format(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
-def _tree_file(path, products, root):
+def _tree_file(path, products, root, scope=(0,), variables=((0, 2), (1, 2))):
     """Tree file over leaves (0,) and (0, 1) (nodes 0 and 1), query 0;
     each product is (left, right), summing out variable 1."""
     nodes = [{"factor": 0, "scope": [0]}, {"factor": 1, "scope": [0, 1]}]
     nodes += [
-        {"left": left, "right": right, "sum_out": [1], "scope": [0]}
+        {"left": left, "right": right, "sum_out": [1], "scope": list(scope)}
         for left, right in products
     ]
     path.write_text(json.dumps({
         "format": factoring.TREE_FORMAT, "query_var": 0,
-        "vars": [[0, 2], [1, 2]], "root": root, "nodes": nodes,
+        "vars": [list(vc) for vc in variables], "root": root, "nodes": nodes,
     }))
 
 
-def test_simulate_accepts_hand_written_tree(tmp_path, capsys):
-    path = tmp_path / "t.json"
-    _tree_file(path, [(0, 1)], 2)
-    code, out, _ = run(capsys, "simulate", str(path))
-    assert code == 0
-    assert "results (tree)" in out
-
-
-@pytest.mark.parametrize("products, root", [
-    pytest.param([(0, 5)], 2, id="child-out-of-range"),
-    pytest.param([(0, -1)], 2, id="negative-child"),
-    pytest.param([(0, 3), (0, 1)], 3, id="child-after-parent"),
-    pytest.param([(2, 1)], 2, id="own-descendant"),
-    pytest.param([(0, 0)], 2, id="same-child-twice"),
-    pytest.param([(0, 1), (0, 2)], 3, id="shared-child"),
-    pytest.param([(0, 1)], 3, id="root-out-of-range"),
-    pytest.param([(0, 1)], -1, id="negative-root"),
+@pytest.mark.parametrize("products, root, code", [
+    pytest.param([(0, 1)], 2, EXIT_OK, id="well-formed"),
+    pytest.param([(0, 5)], 2, EXIT_PARSE, id="child-out-of-range"),
+    pytest.param([(0, -1)], 2, EXIT_PARSE, id="negative-child"),
+    pytest.param([(0, 3), (0, 1)], 3, EXIT_PARSE, id="child-after-parent"),
+    pytest.param([(2, 1)], 2, EXIT_PARSE, id="own-descendant"),
+    pytest.param([(0, 0)], 2, EXIT_PARSE, id="same-child-twice"),
+    pytest.param([(0, 1), (0, 2)], 3, EXIT_PARSE, id="shared-child"),
+    pytest.param([(0, 1)], 3, EXIT_PARSE, id="root-out-of-range"),
+    pytest.param([(0, 1)], -1, EXIT_PARSE, id="negative-root"),
 ])
-def test_simulate_rejects_malformed_tree(tmp_path, capsys, products, root):
+def test_simulate_checks_tree_node_indices(tmp_path, capsys, products, root, code):
     path = tmp_path / "t.json"
     _tree_file(path, products, root)
+    got, out, err = run(capsys, "simulate", str(path))
+    assert got == code
+    if code == EXIT_PARSE:
+        assert str(path) in err
+    else:
+        assert "results (tree)" in out
+
+
+@pytest.mark.parametrize("scope, variables", [
+    pytest.param((0,), ((0, 2),), id="undeclared-variable"),
+    pytest.param((5,), ((0, 2), (1, 2), (5, 2)), id="scope-outside-children"),
+])
+def test_simulate_checks_tree_variables(tmp_path, capsys, scope, variables):
+    path = tmp_path / "t.json"
+    _tree_file(path, [(0, 1)], 2, scope, variables)
     code, _, err = run(capsys, "simulate", str(path))
     assert code == EXIT_PARSE
     assert str(path) in err
