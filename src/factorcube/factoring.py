@@ -570,8 +570,8 @@ def load_tree(path) -> EvalTree:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise network.NetFormatError(f"{path}: malformed tree file ({exc})") from exc
-    # children before parents, each node used once: the order every pass
-    # over the node list relies on; scopes only over declared variables
+    # one tree, children before parents: the order every pass over the node
+    # list relies on; scopes only over declared variables
     cards = tree.card_map()
     seen = set()
     for i, node in enumerate(tree.nodes):
@@ -592,4 +592,6 @@ def load_tree(path) -> EvalTree:
             )
     if not 0 <= tree.root < len(tree.nodes):
         raise network.NetFormatError(f"{path}: root {tree.root} is not a node")
+    if tree.root in seen or len(seen) != len(tree.nodes) - 1:
+        raise network.NetFormatError(f"{path}: not every node is below root {tree.root}")
     return tree

@@ -271,6 +271,8 @@ def _tree_file(path, products, root, scope=(0,), variables=((0, 2), (1, 2))):
     pytest.param([(0, 0)], 2, EXIT_PARSE, id="same-child-twice"),
     pytest.param([(0, 1), (0, 2)], 3, EXIT_PARSE, id="shared-child"),
     pytest.param([(0, 1)], 3, EXIT_PARSE, id="root-out-of-range"),
+    pytest.param([(0, 1)], 1, EXIT_PARSE, id="root-is-a-child"),
+    pytest.param([], 1, EXIT_PARSE, id="unused-leaf"),
     pytest.param([(0, 1)], -1, EXIT_PARSE, id="negative-root"),
 ])
 def test_simulate_checks_tree_node_indices(tmp_path, capsys, products, root, code):
