@@ -10,16 +10,12 @@ from .costmodel import (
     MachineParams,
     QueryCost,
     SplitPlan,
-    comm_distribute,
-    comm_return,
-    distnet_cp_comm,
     load_machine,
     longest_path,
     memory_accounting,
     parallel_cp_cost,
     plan_split,
     query_costs,
-    seq_cp_cost,
 )
 from .factoring import (
     CpShape,

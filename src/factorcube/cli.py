@@ -260,12 +260,12 @@ def cmd_simulate(args) -> int:
         query = network.QuerySpec(tree.query_var, {})
         rows = metrics.build_report_rows(None, query, {"tree": tree}, machine, 1)
     for heuristic, row in rows.items():
-        print(metrics.table_text([row], metrics.RESULTS_TABLE_COLUMNS,
-                                 title=f"results ({heuristic})"))
-        print(metrics.table_text([row], metrics.MEMORY_TABLE_COLUMNS,
-                                 title=f"memory/communication ({heuristic})"))
-        print(metrics.table_text([row], metrics.TREE_PARALLELISM_COLUMNS,
-                                 title=f"tree parallelism ({heuristic})"))
+        for columns, title in (
+            (metrics.RESULTS_TABLE_COLUMNS, "results"),
+            (metrics.MEMORY_TABLE_COLUMNS, "memory/communication"),
+            (metrics.TREE_PARALLELISM_COLUMNS, "tree parallelism"),
+        ):
+            print(metrics.table_text([row], columns, title=f"{title} ({heuristic})"))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -277,39 +277,25 @@ def cmd_simulate(args) -> int:
 
 def _write_tables(out: Path, per_net_rows, heuristics, meta) -> None:
     header = [f"factorcube {__version__}", f"config {meta['config']}"]
-    first = heuristics[0]
     table_rows = {h: [rows[h] for rows in per_net_rows] for h in heuristics}
-    (out / "nets_table.csv").write_text(
-        metrics.table_csv(table_rows[first], metrics.NET_TABLE_COLUMNS, header)
-    )
-    (out / "nets_table.txt").write_text(
-        metrics.table_text(table_rows[first], metrics.NET_TABLE_COLUMNS,
-                           title="random net descriptions")
-    )
-    for h in heuristics:
-        slug = h.replace("-", "_")
-        (out / f"results_{slug}.csv").write_text(
-            metrics.table_csv(table_rows[h], metrics.RESULTS_TABLE_COLUMNS, header)
-        )
-        (out / f"results_{slug}.txt").write_text(
-            metrics.table_text(table_rows[h], metrics.RESULTS_TABLE_COLUMNS,
-                               title=f"results for {h}")
-        )
     comm_h = meta["memory_tables_heuristic"]
-    (out / "memory_comparison.csv").write_text(
-        metrics.table_csv(table_rows[comm_h], metrics.MEMORY_TABLE_COLUMNS, header)
-    )
-    (out / "memory_comparison.txt").write_text(
-        metrics.table_text(table_rows[comm_h], metrics.MEMORY_TABLE_COLUMNS,
-                           title=f"dist-net vs BCA ({comm_h})")
-    )
-    (out / "tree_parallelism.csv").write_text(
-        metrics.table_csv(table_rows[comm_h], metrics.TREE_PARALLELISM_COLUMNS, header)
-    )
-    (out / "tree_parallelism.txt").write_text(
-        metrics.table_text(table_rows[comm_h], metrics.TREE_PARALLELISM_COLUMNS,
-                           title=f"evaluation-tree parallelism ({comm_h})")
-    )
+    # (file stem, rows, columns, text title), each written as CSV and text
+    tables = [("nets_table", table_rows[heuristics[0]],
+               metrics.NET_TABLE_COLUMNS, "random net descriptions")]
+    tables += [
+        (f"results_{h.replace('-', '_')}", table_rows[h],
+         metrics.RESULTS_TABLE_COLUMNS, f"results for {h}")
+        for h in heuristics
+    ]
+    tables += [
+        ("memory_comparison", table_rows[comm_h],
+         metrics.MEMORY_TABLE_COLUMNS, f"dist-net vs BCA ({comm_h})"),
+        ("tree_parallelism", table_rows[comm_h],
+         metrics.TREE_PARALLELISM_COLUMNS, f"evaluation-tree parallelism ({comm_h})"),
+    ]
+    for stem, rows, columns, title in tables:
+        (out / f"{stem}.csv").write_text(metrics.table_csv(rows, columns, header))
+        (out / f"{stem}.txt").write_text(metrics.table_text(rows, columns, title=title))
     details = [rows[h] for rows in per_net_rows for h in heuristics]
     (out / "details.csv").write_text(metrics.details_csv(details, header))
 

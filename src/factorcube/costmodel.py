@@ -1,12 +1,14 @@
 """Analytic cost models for conformal-product trees on hypercube machines.
 
 Everything here is shape arithmetic: no factor values are touched.  The
-sequential model charges a fixed scale factor per multiply.  The parallel
-model is broadcast-compute-aggregate (BCA): a distinguished processor
-slices the inputs along chosen result variables, ships a slice to each
-worker over a log spanning tree, and collects the result slices the same
-way.  A distributed-net variant keeps all data resident everywhere and
-pays only to gather and rebroadcast each intermediate result.
+parallel model is broadcast-compute-aggregate (BCA): a distinguished
+processor slices the inputs along chosen result variables, ships a slice
+to each worker over a log spanning tree, and collects the result slices
+the same way.  `bca_time` is the one price of a product; on one processor
+it is the sequential model, a fixed scale factor per multiply.  A
+distributed-net variant keeps all data resident everywhere and pays only
+to gather and rebroadcast each intermediate result, that is, each
+product's BCA return cost twice.
 
 Byte quantities are exact integers, and every quotient of them is rounded
 to float once, so the accounting identities hold bit for bit; times are
@@ -140,11 +142,6 @@ class LongestPath:
     node_ids: tuple[int, ...] = field(default=())
 
 
-def seq_cp_cost(shape, machine: MachineParams) -> float:
-    """Sequential time: scale factor times one multiply per union entry."""
-    return machine.alpha * shape.multiply_count
-
-
 def processor_count(multiplies: int, result_size: int, machine: MachineParams) -> int:
     """Largest power-of-two processor count obeying the machine size, the
     grainsize floor (at least g_min multiplies per processor) and the
@@ -226,27 +223,19 @@ def _spanning_tree_time(d_max: int, n_u: int, nbytes: float, machine: MachinePar
     return float(d_max) * machine.c_st + nbytes * ((n_u - 1) * machine.c_b)
 
 
-def comm_distribute(plan: SplitPlan, machine: MachineParams) -> float:
-    """Spanning-tree cost of shipping each worker its input slice."""
-    if plan.n_u == 1:
-        return 0.0
-    return _spanning_tree_time(plan.d_max, plan.n_u, plan.b_d, machine)
-
-
-def comm_return(plan: SplitPlan, machine: MachineParams) -> float:
-    """Spanning-tree cost of collecting the result slices."""
-    if plan.n_u == 1:
-        return 0.0
-    return _spanning_tree_time(plan.d_max, plan.n_u, plan.b_result / plan.n_u, machine)
-
-
 def bca_time(multiplies: int, result_size: int, n_u: int, b_d, machine: MachineParams):
-    """(w, c_d, c_r, t_p) of a product spread over n_u > 1 workers, each
-    sent b_d bytes and returning its share of the result table.
+    """(w, c_d, c_r, t_p) of a product spread over n_u workers, each sent
+    b_d bytes and returning its share of the result table: the one price
+    of a product.
 
+    A product on one processor (n_u == 1) runs sequentially: it pays
+    alpha per multiply and no communication, startup or buffering.
     Every quotient is rounded to float once, from exact integers, so the
     times equal those computed from a SplitPlan's fields.
     """
+    if n_u == 1:
+        t_s = machine.alpha * multiplies
+        return t_s, 0.0, 0.0, t_s
     d_max = n_u.bit_length() - 1
     w = machine.alpha * (multiplies / n_u)
     c_d = _spanning_tree_time(d_max, n_u, b_d, machine)
@@ -259,18 +248,13 @@ def bca_time(multiplies: int, result_size: int, n_u: int, b_d, machine: MachineP
 
 
 def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
-    """Modeled parallel time of one conformal product.
-
-    An undistributed product (n_u == 1) runs sequentially and pays no
-    startup or communication at all.
-    """
+    """Modeled cost of one conformal product: its split plan, priced by
+    `bca_time`; t_s is the price of the same product on one processor."""
+    m = shape.multiply_count
+    rsize = shape.result_size
     plan = plan_split(shape, machine)
-    t_s = machine.alpha * shape.multiply_count
-    if plan.n_u == 1:
-        return CpCost(t_s, t_s, t_s, 0.0, 0.0, 1, shape, plan)
-    w, c_d, c_r, t_p = bca_time(
-        shape.multiply_count, shape.result_size, plan.n_u, plan.b_d, machine
-    )
+    t_s = bca_time(m, rsize, 1, 0, machine)[3]
+    w, c_d, c_r, t_p = bca_time(m, rsize, plan.n_u, plan.b_d, machine)
     return CpCost(t_s, t_p, w, c_d, c_r, plan.n_u, shape, plan)
 
 
@@ -330,15 +314,6 @@ def longest_path(tree, qc: QueryCost) -> LongestPath:
         par_time=sum(cost[i].t_p for i in path),
         node_ids=tuple(path),
     )
-
-
-def distnet_cp_comm(plan: SplitPlan, machine: MachineParams) -> float:
-    """Distributed-net communication for one product: the result slices
-    are gathered and the assembled result broadcast back, so the return
-    path is paid twice and there is no input distribution."""
-    if plan.n_u == 1:
-        return 0.0
-    return 2.0 * comm_return(plan, machine)
 
 
 def memory_accounting(tree, qc: QueryCost):

@@ -240,20 +240,6 @@ class _BuildState:
     def _vars(self, mask: int) -> tuple[int, ...]:
         return tuple(self.columns[col] for col in _bits(mask))
 
-    def candidate_shape(self, a: int, b: int) -> CpShape:
-        """Shape of the product of active nodes a and b."""
-        mask_a = self.masks[a]
-        mask_b = self.masks[b]
-        union = mask_a | mask_b
-        union_vars = self._vars(union)
-        return CpShape(
-            self.nodes[a].scope,
-            self.nodes[b].scope,
-            union_vars,
-            self._vars(union & ~self._dead(mask_a, mask_b)),
-            tuple(self.cards[v] for v in union_vars),
-        )
-
     def work_key(self, a: int, b: int) -> tuple[int, int]:
         """(multiply count, result size) of the product of nodes a and b."""
         mask_a = self.masks[a]
@@ -271,17 +257,16 @@ class _BuildState:
         m = self.size(union)
         rsize = self.size(kept)
         n_u = costmodel.processor_count(m, rsize, machine)
-        if n_u == 1:
-            return machine.alpha * m, rsize
-        _, entries = costmodel.choose_split(
-            _bits(mask_a & mask_b & kept),
-            _bits(mask_a & ~mask_b & kept),
-            _bits(mask_b & ~mask_a & kept),
-            self.col_cards, self.sizes[a], self.sizes[b], n_u,
-        )
-        b_d = machine.bytes_per_entry * entries
-        _, _, _, t_p = costmodel.bca_time(m, rsize, n_u, b_d, machine)
-        return t_p, rsize
+        b_d = 0
+        if n_u > 1:
+            _, entries = costmodel.choose_split(
+                _bits(mask_a & mask_b & kept),
+                _bits(mask_a & ~mask_b & kept),
+                _bits(mask_b & ~mask_a & kept),
+                self.col_cards, self.sizes[a], self.sizes[b], n_u,
+            )
+            b_d = machine.bytes_per_entry * entries
+        return costmodel.bca_time(m, rsize, n_u, b_d, machine)[3], rsize
 
     def combine(self, a: int, b: int) -> int:
         """Replace active nodes a and b by their product (a = left) and
@@ -571,7 +556,8 @@ def load_tree(path) -> EvalTree:
     except (KeyError, TypeError, ValueError) as exc:
         raise network.NetFormatError(f"{path}: malformed tree file ({exc})") from exc
     # one tree, children before parents: the order every pass over the node
-    # list relies on; scopes only over declared variables
+    # list relies on; scopes only over declared variables; each product sums
+    # out exactly what its children hold and it does not keep
     cards = tree.card_map()
     seen = set()
     for i, node in enumerate(tree.nodes):
@@ -590,8 +576,17 @@ def load_tree(path) -> EvalTree:
                 f"{path}: node {i} holds a variable that is not declared "
                 f"or not held by its children"
             )
+        if set(node.sum_out) != held - set(node.scope):
+            raise network.NetFormatError(
+                f"{path}: node {i} sums out {list(node.sum_out)}, not the "
+                f"variables its children hold and it does not keep"
+            )
     if not 0 <= tree.root < len(tree.nodes):
         raise network.NetFormatError(f"{path}: root {tree.root} is not a node")
     if tree.root in seen or len(seen) != len(tree.nodes) - 1:
         raise network.NetFormatError(f"{path}: not every node is below root {tree.root}")
+    try:
+        check_tree(tree)
+    except AssertionError as exc:
+        raise network.NetFormatError(f"{path}: not a valid evaluation tree ({exc})") from exc
     return tree

@@ -79,7 +79,8 @@ def build_report_rows(
         stats = qc.stats
         lp = costmodel.longest_path(tree, qc)
         bca_mem, memory, dist_mem = costmodel.memory_accounting(tree, qc)
-        dist_cm = sum(costmodel.distnet_cp_comm(c.plan, machine) for c in qc.per_cp)
+        # dist-net: the result is gathered and rebroadcast, no inputs sent
+        dist_cm = sum(2.0 * c.c_r for c in qc.per_cp)
         t_s = qc.t_s_query
         t_p = qc.t_p_query
         r_spdp = t_s / t_p if t_p > 0 else 1.0

@@ -58,13 +58,11 @@ def test_criterion_1_oracle_equivalence(small_corpus):
 
 
 def test_criterion_2_cost_formula_exactness():
-    shape4 = factoring.CpShape((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3),
-                               (0,), (2, 2, 2, 2))
-    t_s = costmodel.seq_cp_cost(shape4, DEFAULT_MACHINE)
-    plan_d = costmodel.SplitPlan((), 1024, 10, 4096, 0)
-    c_d = costmodel.comm_distribute(plan_d, DEFAULT_MACHINE)
-    plan_r = costmodel.SplitPlan((), 1024, 10, 0, 1024)  # 1 byte per worker
-    c_r = costmodel.comm_return(plan_r, DEFAULT_MACHINE)
+    # a 4-variable binary product on one processor: 16 multiplies
+    t_s = costmodel.bca_time(16, 2, 1, 0, DEFAULT_MACHINE)[3]
+    # 1024 workers, each sent 4096 bytes; a 256-entry result, 1 byte each
+    c_d = costmodel.bca_time(0, 0, 1024, 4096, DEFAULT_MACHINE)[1]
+    c_r = costmodel.bca_time(0, 256, 1024, 0, DEFAULT_MACHINE)[2]
     sce = metrics.speedup_cost_efficiency(1000.0, 100.0, 16)
     ok = (
         t_s == 720.0

@@ -248,12 +248,13 @@ def test_simulate_rejects_unknown_format(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
-def _tree_file(path, products, root, scope=(0,), variables=((0, 2), (1, 2))):
+def _tree_file(path, products, root, scope=(0,), variables=((0, 2), (1, 2)),
+               sum_out=(1,)):
     """Tree file over leaves (0,) and (0, 1) (nodes 0 and 1), query 0;
     each product is (left, right), summing out variable 1."""
     nodes = [{"factor": 0, "scope": [0]}, {"factor": 1, "scope": [0, 1]}]
     nodes += [
-        {"left": left, "right": right, "sum_out": [1], "scope": list(scope)}
+        {"left": left, "right": right, "sum_out": list(sum_out), "scope": list(scope)}
         for left, right in products
     ]
     path.write_text(json.dumps({
@@ -286,13 +287,15 @@ def test_simulate_checks_tree_node_indices(tmp_path, capsys, products, root, cod
         assert "results (tree)" in out
 
 
-@pytest.mark.parametrize("scope, variables", [
-    pytest.param((0,), ((0, 2),), id="undeclared-variable"),
-    pytest.param((5,), ((0, 2), (1, 2), (5, 2)), id="scope-outside-children"),
+@pytest.mark.parametrize("scope, variables, sum_out", [
+    pytest.param((0,), ((0, 2),), (1,), id="undeclared-variable"),
+    pytest.param((5,), ((0, 2), (1, 2), (5, 2)), (1,), id="scope-outside-children"),
+    pytest.param((), ((0, 2), (1, 2)), (0, 1), id="query-summed-out"),
+    pytest.param((0,), ((0, 2), (1, 2), (2, 2)), (1, 2), id="wrong-sum-out"),
 ])
-def test_simulate_checks_tree_variables(tmp_path, capsys, scope, variables):
+def test_simulate_checks_tree_variables(tmp_path, capsys, scope, variables, sum_out):
     path = tmp_path / "t.json"
-    _tree_file(path, [(0, 1)], 2, scope, variables)
+    _tree_file(path, [(0, 1)], 2, scope, variables, sum_out)
     code, _, err = run(capsys, "simulate", str(path))
     assert code == EXIT_PARSE
     assert str(path) in err

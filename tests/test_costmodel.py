@@ -5,20 +5,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import build_instance, small_net
-from factorcube import costmodel, factoring, network
+from factorcube import costmodel, factoring, metrics, network
 from factorcube.costmodel import (
     DEFAULT_MACHINE,
     MachineParams,
-    SplitPlan,
-    comm_distribute,
-    comm_return,
-    distnet_cp_comm,
+    bca_time,
     longest_path,
     memory_accounting,
     parallel_cp_cost,
     plan_split,
     query_costs,
-    seq_cp_cost,
 )
 from factorcube.factoring import CpShape, build_chain_baseline, build_set_factoring
 
@@ -73,10 +69,14 @@ def test_machine_config_round_trip(tmp_path):
 # -- sequential cost ---------------------------------------------------------
 
 def test_seq_cost_examples():
-    assert seq_cp_cost(plain_shape(4, 1), DEFAULT_MACHINE) == 720.0
-    assert seq_cp_cost(plain_shape(12, 1), DEFAULT_MACHINE) == 184320.0
+    # bca_time on one processor is alpha per multiply and nothing else;
+    # every product's t_s is that price, distributed or not
     mixed = CpShape((0,), (1,), (0, 1), (0,), (2, 3))
-    assert seq_cp_cost(mixed, DEFAULT_MACHINE) == 270.0
+    for shape, t_s in ((plain_shape(4, 1), 720.0), (plain_shape(12, 1), 184320.0),
+                       (mixed, 270.0)):
+        m = shape.multiply_count
+        assert bca_time(m, shape.result_size, 1, 0, DEFAULT_MACHINE) == (t_s, 0.0, 0.0, t_s)
+        assert parallel_cp_cost(shape, DEFAULT_MACHINE).t_s == t_s
 
 
 # -- split planning ----------------------------------------------------------
@@ -225,35 +225,34 @@ def test_byte_accounting_is_exact():
 
 # -- communication formulas --------------------------------------------------
 
-def mk_plan(n_u, d_max, b_d, b_r):
-    """A plan sending b_d bytes to and returning b_r bytes from each worker."""
-    return SplitPlan((), n_u, d_max, b_d, b_r * n_u)
+def comm_times(n_u, b_d=0, result_size=0):
+    """(c_d, c_r) that bca_time charges on DEFAULT_MACHINE for a product of
+    result_size entries spread over n_u workers, each sent b_d bytes."""
+    _, c_d, c_r, _ = bca_time(0, result_size, n_u, b_d, DEFAULT_MACHINE)
+    return c_d, c_r
 
 
 def test_distribute_cost_formula():
-    plan = mk_plan(1024, 10, 4096, 0)
-    assert comm_distribute(plan, DEFAULT_MACHINE) == 2_097_404.0
+    assert comm_times(1024, b_d=4096)[0] == 2_097_404.0
 
 
 def test_distribute_startup_only():
-    plan = mk_plan(1024, 10, 0, 0)
-    assert comm_distribute(plan, DEFAULT_MACHINE) == 2300.0
+    assert comm_times(1024)[0] == 2300.0
 
 
 def test_distribute_two_processors():
-    plan = mk_plan(2, 1, 100, 0)
-    assert comm_distribute(plan, DEFAULT_MACHINE) == 280.0
+    assert comm_times(2, b_d=100)[0] == 280.0
 
 
 def test_return_cost_formula():
-    plan = mk_plan(1024, 10, 0, 1)  # 8 binary result vars: 1024 bytes/1024
-    assert comm_return(plan, DEFAULT_MACHINE) == 2811.5
+    # 256 four-byte entries: 1024 bytes over 1024 workers, 1 byte each
+    assert comm_times(1024, result_size=256)[1] == 2811.5
 
 
 def test_return_startup_only_and_sequential():
-    assert comm_return(mk_plan(1024, 10, 0, 0), DEFAULT_MACHINE) == 2300.0
-    assert comm_return(mk_plan(1, 0, 0, 5), DEFAULT_MACHINE) == 0.0
-    assert comm_distribute(mk_plan(1, 0, 5, 0), DEFAULT_MACHINE) == 0.0
+    assert comm_times(1024)[1] == 2300.0
+    assert comm_times(1, result_size=5)[1] == 0.0
+    assert comm_times(1, b_d=5)[0] == 0.0
 
 
 # -- parallel cost -----------------------------------------------------------
@@ -271,11 +270,35 @@ def test_parallel_cost_composes_verified_pieces():
     assert cost.n_u == 1024
     assert cost.w == 45.0 * 1024
     plan = plan_split(shape, DEFAULT_MACHINE)
-    assert cost.t_p == (
-        cost.w
-        + comm_distribute(plan, DEFAULT_MACHINE)
-        + comm_return(plan, DEFAULT_MACHINE)
-    )
+    # each worker gets a 1024-entry slice of both inputs, returns 4 entries
+    assert plan.b_d == 4 * 2048 and plan.b_result == 4 * 4096
+    assert (cost.c_d, cost.c_r) == comm_times(1024, plan.b_d, shape.result_size)
+    assert cost.c_d == 2300.0 + 8192 * 1023 * 0.5 == 4_192_508.0
+    assert cost.c_r == 2300.0 + 16 * 1023 * 0.5 == 10_484.0
+    assert cost.t_p == cost.w + cost.c_d + cost.c_r == 4_249_072.0
+
+
+def test_fixed_overheads_only_on_distributed_products():
+    machine = MachineParams(p_init=7.0, s_setup=5.0, b_buffer=3.0, n_a=64, g_min=16)
+    scopes = [(0, 1), (1, 2), (2, 3, 4, 5, 6, 7)]
+    # nodes 0 x 1: 8 multiplies, under the grainsize, so sequential
+    seq_shape = CpShape((0, 1), (1, 2), (0, 1, 2), (0, 2), (2,) * 3)
+    seq = parallel_cp_cost(seq_shape, machine)
+    assert seq.n_u == 1
+    assert seq.t_p == seq.t_s == seq.w == 45.0 * 8
+    assert seq.c_d == seq.c_r == 0.0
+    # nodes 1 x 2: 128 multiplies, result {1}, so two workers split on 1
+    dist_shape = CpShape((1, 2), (2, 3, 4, 5, 6, 7), tuple(range(1, 8)), (1,), (2,) * 7)
+    dist = parallel_cp_cost(dist_shape, machine)
+    assert dist.n_u == 2 and dist.plan.split_vars == (1,)
+    assert (dist.w, dist.c_d, dist.c_r) == (45.0 * 64, 230.0 + 264 * 0.5, 230.0 + 4 * 0.5)
+    assert dist.t_p == (
+        machine.p_init + machine.s_setup + dist.w + dist.c_d + dist.c_r
+        + machine.b_buffer
+    ) == 3489.0
+    state = factoring._BuildState(scopes, B2, 0)
+    assert state.time_key(0, 1, machine) == (seq.t_p, 4)
+    assert state.time_key(1, 2, machine) == (dist.t_p, 2)
 
 
 def test_zero_overhead_gives_perfect_speedup():
@@ -350,13 +373,32 @@ def test_longest_path_bounded_by_query_totals(protocol_corpus):
 # -- dist-net and memory -----------------------------------------------------
 
 def test_distnet_doubles_return_cost():
-    plan = mk_plan(1024, 10, 0, 1)
-    assert distnet_cp_comm(plan, DEFAULT_MACHINE) == 2 * 2811.5 == 5623.0
+    assert 2.0 * comm_times(1024, result_size=256)[1] == 2 * 2811.5 == 5623.0
 
 
 def test_distnet_zero_cases():
-    assert distnet_cp_comm(mk_plan(1, 0, 0, 9), DEFAULT_MACHINE) == 0.0
-    assert distnet_cp_comm(mk_plan(8, 3, 0, 0), DEFAULT_MACHINE) == 2 * 3 * 230.0
+    assert 2.0 * comm_times(1, result_size=9)[1] == 0.0
+    assert 2.0 * comm_times(8)[1] == 2 * 3 * 230.0
+
+
+def test_distnet_report_pays_return_path_twice(protocol_corpus):
+    # Dist-cm: each distributed product's result gathered and rebroadcast,
+    # from the plan's fields; no input distribution
+    checked = 0
+    for inst in protocol_corpus[:10]:
+        rows = metrics.build_report_rows(
+            inst["net"], inst["query"], inst["trees"], DEFAULT_MACHINE
+        )
+        for h, tree in inst["trees"].items():
+            want = 0.0
+            for c in query_costs(tree, DEFAULT_MACHINE).per_cp:
+                plan = c.plan
+                if plan.n_u > 1:
+                    back = plan.d_max * 230.0 + plan.b_result / plan.n_u * (plan.n_u - 1) * 0.5
+                    want += 2.0 * back
+                    checked += 1
+            assert rows[h].dist_cm == want
+    assert checked > 0
 
 
 def test_memory_accounting_single_product():

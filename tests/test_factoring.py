@@ -152,7 +152,6 @@ def rescan_best_pair(state, machine):
             if v == state.query_var or held[v] > (v in s1) + (v in s2)
         )
         shape = CpShape(s1, s2, union, result, tuple(state.cards[v] for v in union))
-        assert state.candidate_shape(a, b) == shape
         if machine is None:
             key = (shape.multiply_count, shape.result_size)
         else:

@@ -1,6 +1,8 @@
 """The product+sum kernel against the unfused factor algebra, and the
 time-keyed builder against the exact planner costs."""
 
+from collections import Counter
+
 import numpy as np
 
 import factorcube
@@ -69,10 +71,18 @@ def test_time_key_selection_dominates_exact_costs():
         query = int(rng.choice(sorted({v for s in scopes for v in s})))
         cards = {v: 2 for v in range(nv)}
         state = factoring._BuildState(scopes, cards, query)
+        held = Counter(v for s in scopes for v in s)
         exact = {}
         for i in range(k):
             for j in range(i + 1, k):
-                shape = state.candidate_shape(i, j)
+                s1, s2 = scopes[i], scopes[j]
+                union = tuple(sorted(set(s1) | set(s2)))
+                # a variable survives if it is the query or a third factor holds it
+                result = tuple(
+                    v for v in union
+                    if v == query or held[v] > (v in s1) + (v in s2)
+                )
+                shape = factoring.CpShape(s1, s2, union, result, (2,) * len(union))
                 exact[i, j] = costmodel.parallel_cp_cost(shape, machine).t_p
                 assert state.time_key(i, j, machine) == (exact[i, j], shape.result_size)
         first = factoring.build_set_factoring_c(scopes, cards, query, machine).nodes[k]
