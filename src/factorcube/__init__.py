@@ -4,62 +4,34 @@ sequential and hypercube-parallel execution cost of the evaluation trees."""
 __version__ = "0.1.0"
 
 from ._kernels import backend
-from .costmodel import (
-    DEFAULT_MACHINE,
-    CpCost,
-    MachineParams,
-    QueryCost,
-    SplitPlan,
-    load_machine,
-    longest_path,
-    memory_accounting,
-    parallel_cp_cost,
-    plan_split,
-    query_costs,
-)
-from .factoring import (
-    CpShape,
-    EvalTree,
-    TreeStats,
-    build_chain_baseline,
-    build_set_factoring,
-    build_set_factoring_c,
-    build_tree,
-    evaluate_tree,
-    load_tree,
-    posterior,
-    save_tree,
-    scopes_for_query,
-    tree_stats,
-)
-from .factors import (
-    Factor,
-    brute_force_posterior,
-    condition,
-    conformal_product,
-    cpt_factor,
-    marginalize_out,
-    normalize,
-    query_factors,
-)
-from .metrics import (
-    ReportRow,
-    build_report_rows,
-    speedup_cost_efficiency,
-)
-from .network import (
-    BeliefNet,
-    NetGenParams,
-    QuerySpec,
-    Variable,
-    load_net,
-    random_net,
-    relevant_factors,
-    save_net,
-    validate,
-)
+from .costmodel import DEFAULT_MACHINE, query_costs
+from .factoring import build_tree, posterior, scopes_for_query
+from .factors import brute_force_posterior
+from .metrics import build_report_rows
+from .network import NetGenParams, random_net
 
-# imported last: the CLI pulls in everything above
-from .cli import ExperimentConfig, run_experiment
+__all__ = [
+    "__version__",
+    "NetGenParams",
+    "random_net",
+    "scopes_for_query",
+    "build_tree",
+    "query_costs",
+    "build_report_rows",
+    "DEFAULT_MACHINE",
+    "posterior",
+    "brute_force_posterior",
+    "ExperimentConfig",
+    "run_experiment",
+    "backend",
+]
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    # The CLI imports every other module; importing it here at package load
+    # would also make `python -m factorcube.cli` find it already imported.
+    if name in ("ExperimentConfig", "run_experiment"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,6 +15,7 @@ def product_sum(t1, vars1, t2, vars2, union, cards, result_vars) -> np.ndarray:
     `union`/`cards` describe the joint assignment space (ascending ids,
     last variable fastest); `result_vars` must be a subset of `union`.
     The product is formed over the full union table and then reduced.
+    Returns a new array, which the caller may scale in place.
     """
     in1 = set(vars1)
     in2 = set(vars2)

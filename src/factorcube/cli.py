@@ -10,11 +10,11 @@ Exit codes: 0 ok, 2 usage, 3 parse error, 4 validation failure, 5 size cap.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__, costmodel, factoring, metrics, network
-from .factors import DimensionCapError, brute_force_posterior, query_factors
+from .factors import DimensionCapError, brute_force_posterior
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,24 +37,19 @@ def net_seed(master: int, index: int) -> int:
     return splitmix64((master ^ index) & _MASK64)
 
 
-def _int_range(text: str):
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        return int(text), int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected INT or INT..INT, got {text!r}")
+def _range(kind, name: str):
+    """argparse type for `name` or `name..name`: a (lo, hi) pair of kind."""
 
+    def parse(text: str):
+        lo, dots, hi = text.partition("..")
+        try:
+            return kind(lo), kind(hi if dots else lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {name} or {name}..{name}, got {text!r}"
+            )
 
-def _float_range(text: str):
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return float(lo), float(hi)
-        return float(text), float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected NUM or NUM..NUM, got {text!r}")
+    return parse
 
 
 def _machine_from_args(args) -> costmodel.MachineParams:
@@ -105,13 +100,8 @@ def cmd_validate(args) -> int:
 
 def cmd_query(args) -> int:
     net, query = network.load_net(args.net)
-    machine = _machine_from_args(args)
-    scopes, cards, _ = factoring.scopes_for_query(net, query)
-    tree = factoring.build_tree(
-        args.heuristic, scopes, cards, query.query_var, machine
-    )
-    post = factoring.evaluate_tree(
-        tree, query_factors(net, query), max_dim=args.max_dim
+    post = factoring.posterior(
+        net, query, args.heuristic, _machine_from_args(args), args.max_dim
     )
     name = net.variables[query.query_var].name
     print(f"P({name} | {len(query.evidence)} observations)")
@@ -147,11 +137,7 @@ def cmd_plan(args) -> int:
 
 
 def _load_net_or_tree(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise network.NetFormatError(f"{path}: not valid JSON ({exc})") from exc
+    obj = network.read_json(path)
     kind = obj.get("format") if isinstance(obj, dict) else None
     if kind == factoring.TREE_FORMAT:
         return "tree", factoring.load_tree(path)
@@ -227,7 +213,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
             f"obs={config.obs_count_range} heuristics={heuristics}"
         ),
         "seed_rule": "net_seed(i) = splitmix64(master xor i)",
-        "machine": {k: getattr(config.machine, k) for k in costmodel.MACHINE_KEYS},
+        "machine": asdict(config.machine),
         "heuristics": heuristics,
         "memory_tables_heuristic": (
             "set-factoring-c" if "set-factoring-c" in heuristics else heuristics[0]
@@ -324,11 +310,12 @@ def _add_machine_flags(p) -> None:
 
 def _add_gen_flags(p) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=_int_range, default=(10, 100),
+    p.add_argument("--nodes", type=_range(int, "INT"), default=(10, 100),
                    metavar="A..B")
-    p.add_argument("--arcs", type=_float_range, default=(1.0, 5.0),
+    p.add_argument("--arcs", type=_range(float, "NUM"), default=(1.0, 5.0),
                    metavar="A..B")
-    p.add_argument("--obs", type=_int_range, default=(1, 20), metavar="A..B")
+    p.add_argument("--obs", type=_range(int, "INT"), default=(1, 20),
+                   metavar="A..B")
 
 
 def build_parser() -> argparse.ArgumentParser:

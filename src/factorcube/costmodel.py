@@ -15,13 +15,9 @@ to float once, so the accounting identities hold bit for bit; times are
 float64 microseconds.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-MACHINE_KEYS = (
-    "alpha", "c_st", "c_b", "p_init", "s_setup", "b_buffer",
-    "n_a", "g_min", "bytes_per_entry",
-)
+from . import factoring, network
 
 
 @dataclass(frozen=True)
@@ -64,25 +60,25 @@ DEFAULT_MACHINE = MachineParams()
 
 
 def machine_from_dict(obj: dict) -> MachineParams:
-    unknown = set(obj) - set(MACHINE_KEYS)
+    """MachineParams from a JSON object whose keys are its field names.
+    An int field takes an integer (`network.is_integer`), a float field
+    any number; ValueError otherwise."""
+    types = {f.name: f.type for f in fields(MachineParams)}
+    unknown = set(obj) - types.keys()
     if unknown:
         raise ValueError(f"unknown machine keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("alpha", "c_st", "c_b", "p_init", "s_setup", "b_buffer"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    for key in ("n_a", "g_min", "bytes_per_entry"):
-        if key in obj:
-            kwargs[key] = int(obj[key])
+    for key, value in obj.items():
+        if types[key] is int and not network.is_integer(value):
+            raise ValueError(f"machine key {key!r} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"machine key {key!r} must be a number, got {value!r}")
+        kwargs[key] = types[key](value)
     return MachineParams(**kwargs)
 
 
 def load_machine(path) -> MachineParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    obj = network.read_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: machine config must be an object")
     return machine_from_dict(obj)
@@ -265,8 +261,6 @@ def query_costs(tree, machine: MachineParams) -> QueryCost:
     Sequential products contribute their full t_s to the computation
     total; only distributed products contribute communication.
     """
-    from . import factoring
-
     stats = factoring.tree_stats(tree)
     per = tuple(parallel_cp_cost(sh, machine) for sh in stats.shapes)
     return QueryCost(

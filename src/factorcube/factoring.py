@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels, costmodel, network
+from . import _kernels, costmodel, factors, network
 from .factors import DimensionCapError, Factor, marginalize_out, normalize
 
 TREE_FORMAT = "factorcube-tree-v1"
@@ -465,7 +465,7 @@ def evaluate_tree(
                 f"conformal product spans {len(union)} variables, "
                 f"above the cap of {max_dim}"
             )
-        tables[idx] = _kernels.product_sum(
+        table = _kernels.product_sum(
             tables[node.left],
             v1,
             tables[node.right],
@@ -474,6 +474,14 @@ def evaluate_tree(
             tuple(cards[v] for v in union),
             node.scope,
         )
+        # rescale by a power of two, which is exact, so that long chains of
+        # small probabilities do not underflow; normalize cancels the scale.
+        # In place: the kernel's result is a fresh array, and a copy of it
+        # would double the largest table's memory.
+        exponent = math.frexp(table.max())[1]
+        if exponent:
+            np.ldexp(table, -exponent, out=table)
+        tables[idx] = table
         tables.pop(node.left)
         tables.pop(node.right)
     root = tree.nodes[tree.root]
@@ -488,11 +496,9 @@ def evaluate_tree(
 def posterior(net, query, heuristic: str = "set-factoring",
               machine=None, max_dim: int = DEFAULT_EVAL_CAP) -> Factor:
     """End-to-end numeric answer: prune, condition, build, evaluate."""
-    from .factors import query_factors
-
     scopes, cards, _ = scopes_for_query(net, query)
     tree = build_tree(heuristic, scopes, cards, query.query_var, machine)
-    return evaluate_tree(tree, query_factors(net, query), max_dim=max_dim)
+    return evaluate_tree(tree, factors.query_factors(net, query), max_dim=max_dim)
 
 
 def _tree_to_obj(tree: EvalTree) -> dict:
@@ -524,34 +530,37 @@ def save_tree(tree: EvalTree, path) -> None:
         fh.write("\n")
 
 
+def _int(value) -> int:
+    """An integer field of a tree file: TypeError for a bool, a string or
+    a fraction, which `int` would accept or truncate."""
+    if not network.is_integer(value):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_tree(path) -> EvalTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise network.NetFormatError(f"{path}: not valid JSON ({exc})") from exc
+    obj = network.read_json(path)
     try:
         nodes = []
         for rec in obj["nodes"]:
+            scope = tuple(map(_int, rec["scope"]))
             if "factor" in rec:
-                nodes.append(
-                    EvalNode(int(rec["factor"]), None, None, (), tuple(rec["scope"]))
-                )
+                nodes.append(EvalNode(_int(rec["factor"]), None, None, (), scope))
             else:
                 nodes.append(
                     EvalNode(
                         None,
-                        int(rec["left"]),
-                        int(rec["right"]),
-                        tuple(rec["sum_out"]),
-                        tuple(rec["scope"]),
+                        _int(rec["left"]),
+                        _int(rec["right"]),
+                        tuple(map(_int, rec["sum_out"])),
+                        scope,
                     )
                 )
         tree = EvalTree(
-            int(obj["query_var"]),
-            tuple((int(v), int(c)) for v, c in obj["vars"]),
+            _int(obj["query_var"]),
+            tuple((_int(v), _int(c)) for v, c in obj["vars"]),
             tuple(nodes),
-            int(obj["root"]),
+            _int(obj["root"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise network.NetFormatError(f"{path}: malformed tree file ({exc})") from exc

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import network
+
 DEFAULT_JOINT_CAP = 2 ** 24
 
 
@@ -171,8 +173,6 @@ def query_factors(net, query) -> list[Factor]:
     """Conditioned factors for the relevant part of the net, one per
     relevant variable in ascending id order.  Observed variables are
     sliced away, so the returned scopes contain only unobserved ids."""
-    from . import network
-
     relevant = sorted(network.relevant_factors(net, query))
     return [condition(cpt_factor(net, v), query.evidence) for v in relevant]
 

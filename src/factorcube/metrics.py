@@ -83,7 +83,10 @@ def build_report_rows(
         dist_cm = sum(2.0 * c.c_r for c in qc.per_cp)
         t_s = qc.t_s_query
         t_p = qc.t_p_query
-        r_spdp = t_s / t_p if t_p > 0 else 1.0
+        if t_p > 0:
+            r_spdp, _, efficiency = speedup_cost_efficiency(t_s, t_p, qc.n_u_query)
+        else:
+            r_spdp, efficiency = 1.0, 1.0 / qc.n_u_query
         a_spdp = seq_time_best / t_p if t_p > 0 else 1.0
         cp_count = stats.cp_count
         para_cp = sum(1 for c in qc.per_cp if c.n_u > 1)
@@ -109,7 +112,7 @@ def build_report_rows(
             r_spdp=r_spdp,
             a_spdp=a_spdp,
             n_u_query=qc.n_u_query,
-            efficiency=r_spdp / qc.n_u_query,
+            efficiency=efficiency,
             bca_cm=qc.cm_total,
             dist_cm=dist_cm,
             bca_mem=bca_mem,

@@ -364,10 +364,37 @@ def save_net(net: BeliefNet, query: QuerySpec, path) -> None:
         fh.write("\n")
 
 
+def read_json(path):
+    """The JSON document in the file at path; NetFormatError if the file
+    is not valid JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise NetFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def is_integer(value) -> bool:
+    """Whether a JSON value is an integer: an int or a float with an
+    integral value, never a bool or a string."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+
+
+def json_int(value, where) -> int:
+    """value as an int; NetFormatError unless `is_integer(value)`."""
+    if not is_integer(value):
+        raise NetFormatError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _require(obj, key, types, where):
     if key not in obj:
         raise NetFormatError(f"{where}: missing field {key!r}")
     val = obj[key]
+    if types is int:
+        return json_int(val, f"{where}: field {key!r}")
     if not isinstance(val, types):
         raise NetFormatError(f"{where}: field {key!r} has wrong type")
     return val
@@ -379,22 +406,19 @@ def load_net(path) -> tuple[BeliefNet, QuerySpec]:
     Raises NetFormatError for malformed documents and NetValidationError
     (carrying the violation report) for well-formed but invalid nets.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetFormatError(f"{path}: not valid JSON ({exc})") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise NetFormatError(f"{path}: top level must be an object")
     variables = []
     for i, rec in enumerate(_require(obj, "variables", list, path)):
         if not isinstance(rec, dict):
             raise NetFormatError(f"{path}: variables[{i}] must be an object")
+        where = f"{path}: variables[{i}]"
         variables.append(
             Variable(
-                int(_require(rec, "id", int, f"variables[{i}]")),
-                str(_require(rec, "name", str, f"variables[{i}]")),
-                int(_require(rec, "cardinality", int, f"variables[{i}]")),
+                _require(rec, "id", int, where),
+                _require(rec, "name", str, where),
+                _require(rec, "cardinality", int, where),
             )
         )
     parents_raw = _require(obj, "parents", list, path)
@@ -404,7 +428,9 @@ def load_net(path) -> tuple[BeliefNet, QuerySpec]:
             f"{path}: variables, parents, and cpts must have equal length"
         )
     parents = tuple(
-        tuple(int(p) for p in ps) if isinstance(ps, list) else _bad_parents(path, i)
+        tuple(json_int(p, f"{path}: parents[{i}]") for p in ps)
+        if isinstance(ps, list)
+        else _bad_parents(path, i)
         for i, ps in enumerate(parents_raw)
     )
     try:
@@ -418,8 +444,9 @@ def load_net(path) -> tuple[BeliefNet, QuerySpec]:
     for i, pair in enumerate(_require(obj, "evidence", list, path)):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise NetFormatError(f"{path}: evidence[{i}] must be a [var, value] pair")
-        evidence[int(pair[0])] = int(pair[1])
-    query = QuerySpec(int(qvar), evidence)
+        where = f"{path}: evidence[{i}]"
+        evidence[json_int(pair[0], where)] = json_int(pair[1], where)
+    query = QuerySpec(qvar, evidence)
 
     report = validate(net) + validate_query(net, query)
     if report:

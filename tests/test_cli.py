@@ -80,6 +80,33 @@ def test_validate_ok_and_failures(tmp_path, capsys):
 
 # -- query ---------------------------------------------------------------------
 
+@pytest.mark.parametrize("field, value, code", [
+    pytest.param("evidence", [[1, 0]], EXIT_OK, id="well-formed"),
+    pytest.param("evidence", [[1, 0.9]], EXIT_PARSE, id="fractional-evidence-value"),
+    pytest.param("evidence", [[True, 0]], EXIT_PARSE, id="bool-evidence-variable"),
+    pytest.param("evidence", [["1", 0]], EXIT_PARSE, id="string-evidence-variable"),
+    pytest.param("parents", [[], [0.6]], EXIT_PARSE, id="fractional-parent"),
+    pytest.param("parents", [[], [False]], EXIT_PARSE, id="bool-parent"),
+    pytest.param("parents", [[], ["0"]], EXIT_PARSE, id="string-parent"),
+    pytest.param("query", False, EXIT_PARSE, id="bool-query"),
+    pytest.param("variables", [{"id": False, "name": "A", "cardinality": 2},
+                               {"id": 1, "name": "B", "cardinality": 2}],
+                 EXIT_PARSE, id="bool-variable-id"),
+])
+def test_query_checks_net_ids(tmp_path, capsys, field, value, code):
+    path = tmp_path / "net.json"
+    write_two_node_net(path)
+    obj = json.loads(path.read_text())
+    obj[field] = value
+    path.write_text(json.dumps(obj))
+    got, out, err = run(capsys, "query", str(path))
+    assert got == code
+    if code == EXIT_PARSE:
+        assert str(path) in err
+    else:
+        assert "A=0: 0.818182" in out
+
+
 def test_query_two_node_bayes(tmp_path, capsys):
     path = tmp_path / "net.json"
     write_two_node_net(path)
@@ -275,6 +302,10 @@ def _tree_file(path, products, root, scope=(0,), variables=((0, 2), (1, 2)),
     pytest.param([(0, 1)], 1, EXIT_PARSE, id="root-is-a-child"),
     pytest.param([], 1, EXIT_PARSE, id="unused-leaf"),
     pytest.param([(0, 1)], -1, EXIT_PARSE, id="negative-root"),
+    pytest.param([(0, 1)], 2.7, EXIT_PARSE, id="fractional-root"),
+    pytest.param([(0, 1.5)], 2, EXIT_PARSE, id="fractional-child"),
+    pytest.param([(0, True)], 2, EXIT_PARSE, id="bool-child"),
+    pytest.param([(0, "1")], 2, EXIT_PARSE, id="string-child"),
 ])
 def test_simulate_checks_tree_node_indices(tmp_path, capsys, products, root, code):
     path = tmp_path / "t.json"
@@ -299,6 +330,26 @@ def test_simulate_checks_tree_variables(tmp_path, capsys, scope, variables, sum_
     code, _, err = run(capsys, "simulate", str(path))
     assert code == EXIT_PARSE
     assert str(path) in err
+
+
+@pytest.mark.parametrize("text, code", [
+    pytest.param('{"n_a": 2.9}', EXIT_USAGE, id="fractional-int"),
+    pytest.param('{"g_min": true}', EXIT_USAGE, id="bool-int"),
+    pytest.param('{"alpha": "45"}', EXIT_USAGE, id="string-number"),
+    pytest.param('{"n_a": 4.0, "alpha": 10}', EXIT_OK, id="integral-numbers"),
+    pytest.param('{"n_a": 4', EXIT_PARSE, id="not-json"),
+])
+def test_simulate_checks_machine_values(tmp_path, capsys, text, code):
+    npath = tmp_path / "n.json"
+    write_two_node_net(npath)
+    machine = tmp_path / "m.json"
+    machine.write_text(text)
+    got, _, err = run(capsys, "simulate", str(npath), "--machine", str(machine))
+    assert got == code
+    if code == EXIT_USAGE:
+        assert "machine key" in err
+    elif code == EXIT_PARSE:
+        assert str(machine) in err
 
 
 def test_simulate_malformed_machine_config(tmp_path, capsys):

@@ -291,6 +291,20 @@ def test_different_trees_same_posterior():
             np.testing.assert_allclose(posts[0].table, p.table, atol=1e-9)
 
 
+def test_long_evidence_chain_does_not_underflow():
+    # P(evidence | root) is 0.4**1099 for either root value, far below the
+    # smallest double; the evidence is possible and leaves the prior as is
+    n = 1100
+    net = network.BeliefNet(
+        tuple(network.Variable(v, f"n{v}", 2) for v in range(n)),
+        ((),) + ((0,),) * (n - 1),
+        (np.array([0.5, 0.5]),) + (np.array([0.6, 0.4, 0.6, 0.4]),) * (n - 1),
+    )
+    query = network.QuerySpec(0, {v: 1 for v in range(1, n)})
+    got = factoring.posterior(net, query, "chain")
+    np.testing.assert_array_equal(got.table, [0.5, 0.5])
+
+
 def test_evaluate_respects_dimension_cap():
     tree = build_set_factoring([(0, 1), (1, 2), (2, 3)], B2, 0)
     factors = [
