@@ -4,7 +4,8 @@ Every command is a pure function of its flags and seeds; experiment runs
 derive one seed per net from the master seed with a splitmix64 mix, so a
 rerun with the same flags reproduces every output byte.
 
-Exit codes: 0 ok, 2 usage, 3 parse error, 4 validation failure, 5 size cap.
+Exit codes: 0 ok, 2 usage, 3 parse error, 4 validation failure (including
+evidence of probability zero), 5 size cap.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__, costmodel, factoring, metrics, network
-from .factors import DimensionCapError, brute_force_posterior
+from .factors import DimensionCapError, InconsistentEvidenceError, brute_force_posterior
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -140,9 +141,9 @@ def _load_net_or_tree(path):
     obj = network.read_json(path)
     kind = obj.get("format") if isinstance(obj, dict) else None
     if kind == factoring.TREE_FORMAT:
-        return "tree", factoring.load_tree(path)
+        return "tree", factoring.tree_from_obj(obj, path)
     if kind == network.NET_FORMAT:
-        return "net", network.load_net(path)
+        return "net", network.net_from_obj(obj, path)
     raise network.NetFormatError(f"{path}: unrecognized format {kind!r}")
 
 
@@ -395,6 +396,9 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InconsistentEvidenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -180,7 +180,10 @@ class _BuildState:
     Node scopes are bitmasks over `columns`, the variables in ascending id
     order, so scope algebra is integer arithmetic and decoding a mask
     yields variables in ascending order.  `count` holds, per column, how
-    many active nodes hold that variable.
+    many active nodes hold that variable.  `sizes` holds each node's table
+    size and `reduced` its size after summing out the variables only it
+    holds, which is what it keeps in a product with a node it shares no
+    variable with.
     """
 
     def __init__(self, scopes, cards, query_var):
@@ -212,6 +215,7 @@ class _BuildState:
             groups[card] = groups.get(card, 0) | 1 << col
         self.card_groups = sorted(groups.items())
         self.sizes = [self.size(mask) for mask in self.masks]
+        self.reduced = [self.size(mask & ~self.held_once) for mask in self.masks]
 
     def _recount(self, col: int) -> None:
         bit = 1 << col
@@ -241,24 +245,39 @@ class _BuildState:
         return tuple(self.columns[col] for col in _bits(mask))
 
     def work_key(self, a: int, b: int) -> tuple[int, int]:
-        """(multiply count, result size) of the product of nodes a and b."""
+        """(multiply count, result size) of the product of nodes a and b.
+        Two nodes that share no variable multiply their sizes and keep
+        their reduced sizes."""
         mask_a = self.masks[a]
         mask_b = self.masks[b]
+        if not mask_a & mask_b:
+            return self.sizes[a] * self.sizes[b], self.reduced[a] * self.reduced[b]
         union = mask_a | mask_b
         return self.size(union), self.size(union & ~self._dead(mask_a, mask_b))
+
+    def work_entry(self, a: int, b: int):
+        """Heap entry of the pair a < b keyed on work, always exact."""
+        m, rsize = self.work_key(a, b)
+        return m, rsize, a, b, True
+
+    def time_entry(self, a: int, b: int, machine):
+        """Heap entry of the pair a < b keyed on a lower bound of its
+        modeled time: `bca_time` with nothing distributed (b_d = 0), which
+        never exceeds the exact t_p and equals it on one processor."""
+        m, rsize = self.work_key(a, b)
+        n_u = costmodel.processor_count(m, rsize, machine)
+        return costmodel.bca_time(m, rsize, n_u, 0, machine)[3], rsize, a, b, n_u == 1
 
     def time_key(self, a: int, b: int, machine) -> tuple[float, int]:
         """(modeled parallel time, result size) of the product of nodes a
         and b: the t_p `costmodel.parallel_cp_cost` gives its shape."""
-        mask_a = self.masks[a]
-        mask_b = self.masks[b]
-        union = mask_a | mask_b
-        kept = union & ~self._dead(mask_a, mask_b)
-        m = self.size(union)
-        rsize = self.size(kept)
+        m, rsize = self.work_key(a, b)
         n_u = costmodel.processor_count(m, rsize, machine)
         b_d = 0
         if n_u > 1:
+            mask_a = self.masks[a]
+            mask_b = self.masks[b]
+            kept = (mask_a | mask_b) & ~self._dead(mask_a, mask_b)
             _, entries = costmodel.choose_split(
                 _bits(mask_a & mask_b & kept),
                 _bits(mask_a & ~mask_b & kept),
@@ -291,6 +310,7 @@ class _BuildState:
         for col in _bits(dead):
             self.count[col] = 0
             self._recount(col)
+        self.reduced.append(self.size(kept & ~self.held_once))
         return new_id
 
     def finish(self) -> EvalTree:
@@ -303,32 +323,52 @@ class _BuildState:
         )
 
 
-def _greedy(state: _BuildState, key, *key_args) -> EvalTree:
-    """Combine the active pair with the least (key, lower id, higher id)
-    until one node remains.
+def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
+    """Combine the active pair with the least (key, result size, lower id,
+    higher id) until one node remains.
+
+    `entry(a, b)` gives the heap entry (bound, result size, a, b, exact) of
+    a pair a < b, where bound is at most the pair's key and equals it when
+    exact is true; `exact_key(a, b)` gives the (key, result size) of a pair
+    whose entry is not exact.  The heap holds one entry per live pair.  An
+    inexact entry on top is replaced by its exact one; an exact entry on
+    top is the least live pair, since every other live pair's key is at
+    least its entry.  Only the top pairs are ever keyed exactly.
 
     The active list stays sorted by node id, so the id tie-break is the
     row-major pair order of a full rescan.  A pair's key depends only on
     its two scopes and on the holder counts of their variables.  A combine
     lowers only the counts of variables held by both inputs and kept by
     the product, and each of those stays held by the product; so a pair of
-    two older nodes keeps its key, and only pairs with the new product
-    need scoring.  Every pair is therefore scored exactly once; heap
-    entries of combined nodes are skipped when they surface.
+    two older nodes keeps its entry, and only pairs with the new product
+    need one.  For the same reason a node's `sizes` and `reduced` stay
+    fixed while it is active: its mask does not change, and a variable it
+    shares with both inputs of a combine goes from at least three holders
+    to at least two, so it is held once neither before nor after.
+
+    Entries of combined nodes are skipped when they surface.  Once they
+    outnumber the live ones, that is, once the heap holds more than
+    n(n - 1) entries for n active nodes, they are filtered out and the
+    rest heapified, which costs O(1) per dropped entry.
     """
-    heap = [
-        (*key(a, b, *key_args), a, b)
-        for a, b in itertools.combinations(state.active, 2)
-    ]
+    heap = [entry(a, b) for a, b in itertools.combinations(state.active, 2)]
     heapq.heapify(heap)
     alive = state.alive
-    while len(state.active) > 1:
-        _, _, a, b = heapq.heappop(heap)
+    active = state.active
+    while len(active) > 1:
+        _, _, a, b, exact = heapq.heappop(heap)
         if not (alive[a] and alive[b]):
             continue
+        if not exact:
+            heapq.heappush(heap, (*exact_key(a, b), a, b, True))
+            continue
         new_id = state.combine(a, b)
-        for x in state.active[:-1]:
-            heapq.heappush(heap, (*key(x, new_id, *key_args), x, new_id))
+        for x in active[:-1]:
+            heapq.heappush(heap, entry(x, new_id))
+        n = len(active)
+        if len(heap) > n * (n - 1):
+            heap = [e for e in heap if alive[e[2]] and alive[e[3]]]
+            heapq.heapify(heap)
     return state.finish()
 
 
@@ -338,7 +378,7 @@ def build_set_factoring(scopes, cards, query_var) -> EvalTree:
     position."""
     _check_instance(scopes, cards, query_var)
     state = _BuildState(scopes, cards, query_var)
-    return _greedy(state, state.work_key)
+    return _greedy(state, state.work_entry, None)
 
 
 def build_set_factoring_c(scopes, cards, query_var, machine) -> EvalTree:
@@ -346,7 +386,11 @@ def build_set_factoring_c(scopes, cards, query_var, machine) -> EvalTree:
     candidate product under the broadcast-compute-aggregate machine."""
     _check_instance(scopes, cards, query_var)
     state = _BuildState(scopes, cards, query_var)
-    return _greedy(state, state.time_key, machine)
+    return _greedy(
+        state,
+        lambda a, b: state.time_entry(a, b, machine),
+        lambda a, b: state.time_key(a, b, machine),
+    )
 
 
 def build_chain_baseline(scopes, cards, query_var) -> EvalTree:
@@ -539,7 +583,14 @@ def _int(value) -> int:
 
 
 def load_tree(path) -> EvalTree:
-    obj = network.read_json(path)
+    """Parse and check a tree file (`tree_from_obj`)."""
+    return tree_from_obj(network.read_json(path), path)
+
+
+def tree_from_obj(obj, path) -> EvalTree:
+    """Check the parsed JSON document of a tree file and return its tree;
+    path names the file in messages.  NetFormatError if it is malformed
+    or not a valid evaluation tree."""
     try:
         nodes = []
         for rec in obj["nodes"]:

@@ -401,12 +401,17 @@ def _require(obj, key, types, where):
 
 
 def load_net(path) -> tuple[BeliefNet, QuerySpec]:
-    """Parse and validate a net file.
+    """Parse and validate a net file (`net_from_obj`)."""
+    return net_from_obj(read_json(path), path)
+
+
+def net_from_obj(obj, path) -> tuple[BeliefNet, QuerySpec]:
+    """Validate the parsed JSON document of a net file; path names the
+    file in messages.
 
     Raises NetFormatError for malformed documents and NetValidationError
     (carrying the violation report) for well-formed but invalid nets.
     """
-    obj = read_json(path)
     if not isinstance(obj, dict):
         raise NetFormatError(f"{path}: top level must be an object")
     variables = []

@@ -115,6 +115,20 @@ def test_query_two_node_bayes(tmp_path, capsys):
     assert "A=0: 0.818182" in out
 
 
+def test_query_impossible_evidence_is_validation_error(tmp_path, capsys):
+    # B is observed 1, which it never takes: P(B = 1 | A) = 0 for both A
+    net = network.BeliefNet(
+        (network.Variable(0, "A", 2), network.Variable(1, "B", 2)),
+        ((), (0,)),
+        (np.array([0.5, 0.5]), np.array([1.0, 0.0, 1.0, 0.0])),
+    )
+    path = tmp_path / "net.json"
+    network.save_net(net, network.QuerySpec(0, {1: 1}), path)
+    code, out, err = run(capsys, "query", str(path))
+    assert code == EXIT_VALIDATION
+    assert "zero" in err and out == ""
+
+
 def test_query_oracle_check_sweep(tmp_path, capsys):
     for i in range(1, 11):
         net, q = network.random_net(

@@ -163,16 +163,18 @@ def rescan_best_pair(state, machine):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=5),
-             min_size=2, max_size=10),
+    st.lists(st.sets(st.integers(0, 9), max_size=5), min_size=2, max_size=24),
+    st.integers(0, 9),
     st.lists(st.integers(2, 5), min_size=10, max_size=10),
     st.booleans(),
     st.sampled_from((None,) + RESCAN_MACHINES),
 )
-def test_builder_matches_full_rescan_at_every_step(scope_sets, card_list,
+def test_builder_matches_full_rescan_at_every_step(scope_sets, query, card_list,
                                                    binary, machine):
-    scopes = [tuple(sorted(s)) for s in scope_sets]
-    query = scopes[0][0]
+    # empty scopes make pairs that share no variable and keys that all tie;
+    # up to 24 scopes let dead heap entries outnumber live ones
+    scopes = [tuple(sorted(s | ({query} if i == 0 else set())))
+              for i, s in enumerate(scope_sets)]
     cards = {v: 2 if binary else c for v, c in enumerate(card_list)}
     if machine is None:
         tree = build_set_factoring(scopes, cards, query)
@@ -182,7 +184,24 @@ def test_builder_matches_full_rescan_at_every_step(scope_sets, card_list,
     for node in tree.nodes[len(scopes):]:
         assert (node.left, node.right) == rescan_best_pair(state, machine)
         state.combine(node.left, node.right)
+        for x in state.active:
+            assert state.reduced[x] == state.size(state.masks[x] & ~state.held_once)
     assert tuple(state.nodes) == tree.nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(RESCAN_MACHINES),
+    st.integers(1, 1 << 12),
+    st.integers(1, 1 << 40),
+    st.integers(1, 1 << 30),
+    st.integers(0, 1 << 40),
+)
+def test_time_bound_never_exceeds_exact_time(machine, n_u, m, rsize, b_d):
+    # the greedy builder keys set-factoring-c pairs on b_d = 0 until they
+    # reach the top of its heap, so that key must be a lower bound
+    assert (costmodel.bca_time(m, rsize, n_u, 0, machine)[3]
+            <= costmodel.bca_time(m, rsize, n_u, b_d, machine)[3])
 
 
 def test_build_is_deterministic():

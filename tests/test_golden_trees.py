@@ -112,6 +112,26 @@ def test_nonbinary_trees_match_golden():
     _check(nonbinary_cases())
 
 
+def test_set_factoring_c_keys_few_pairs_exactly(monkeypatch):
+    # the builder keys a pair exactly only when its lower bound reaches the
+    # top of the heap; scoring every pair exactly would make 61,009 calls
+    net, query = network.random_net(LARGE_PARAMS)
+    scopes, cards, _ = factoring.scopes_for_query(net, query)
+    calls = 0
+    time_key = factoring._BuildState.time_key
+
+    def counted(self, a, b, machine):
+        nonlocal calls
+        calls += 1
+        return time_key(self, a, b, machine)
+
+    monkeypatch.setattr(factoring._BuildState, "time_key", counted)
+    factoring.build_set_factoring_c(
+        scopes, cards, query.query_var, costmodel.DEFAULT_MACHINE
+    )
+    assert 0 < calls <= 2 * (len(scopes) - 1)
+
+
 if __name__ == "__main__":
     digests = {}
     for cases in (protocol_cases(), large_cases(), nonbinary_cases()):
