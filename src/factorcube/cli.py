@@ -59,7 +59,7 @@ def _machine_from_args(args) -> costmodel.MachineParams:
         if getattr(args, "machine", None)
         else costmodel.DEFAULT_MACHINE
     )
-    if getattr(args, "procs", None):
+    if getattr(args, "procs", None) is not None:
         machine = replace(machine, n_a=args.procs)
     if getattr(args, "grainsize", None) is not None:
         machine = replace(machine, g_min=args.grainsize)

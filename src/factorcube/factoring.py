@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _kernels, costmodel, factors, network
 from .factors import DimensionCapError, Factor, marginalize_out, normalize
+from .network import json_int
 
 TREE_FORMAT = "factorcube-tree-v1"
 
@@ -39,7 +40,6 @@ class EvalNode:
     factor: int | None
     left: int | None
     right: int | None
-    sum_out: tuple[int, ...]
     scope: tuple[int, ...]
 
     @property
@@ -56,6 +56,13 @@ class EvalTree:
 
     def card_map(self) -> dict[int, int]:
         return dict(self.var_cards)
+
+    def sum_out(self, i: int) -> tuple[int, ...]:
+        """What product node i sums out: the variables its children hold
+        and it does not keep, ascending."""
+        node = self.nodes[i]
+        held = {*self.nodes[node.left].scope, *self.nodes[node.right].scope}
+        return tuple(sorted(held - set(node.scope)))
 
     @property
     def leaf_count(self) -> int:
@@ -190,7 +197,7 @@ class _BuildState:
         self.cards = dict(cards)
         self.query_var = query_var
         self.nodes: list[EvalNode] = [
-            EvalNode(i, None, None, (), tuple(s)) for i, s in enumerate(scopes)
+            EvalNode(i, None, None, tuple(s)) for i, s in enumerate(scopes)
         ]
         self.active: list[int] = list(range(len(scopes)))  # node ids, ascending
         self.alive = bytearray([1]) * len(scopes)
@@ -294,7 +301,7 @@ class _BuildState:
         mask_b = self.masks[b]
         dead = self._dead(mask_a, mask_b)
         kept = (mask_a | mask_b) & ~dead
-        self.nodes.append(EvalNode(None, a, b, self._vars(dead), self._vars(kept)))
+        self.nodes.append(EvalNode(None, a, b, self._vars(kept)))
         new_id = len(self.nodes) - 1
         self.masks.append(kept)
         self.sizes.append(self.size(kept))
@@ -450,33 +457,55 @@ def tree_stats(tree: EvalTree) -> TreeStats:
 
 
 def check_tree(tree: EvalTree) -> None:
-    """Raise if the tree breaks a structural invariant: every non-query
-    variable summed exactly once, query never summed, root scope == query,
-    every factor used in exactly one leaf."""
-    summed: dict[int, int] = {}
-    used_factors: dict[int, int] = {}
-    for node in tree.nodes:
+    """ValueError unless the tree is a valid evaluation tree: each variable
+    declared once with cardinality at least 1; one tree, children before
+    parents, which is the order every pass over the node list relies on;
+    each factor in one leaf; scopes only over declared variables, a
+    product's only over what its children hold; and, below a product
+    root, every variable but the query summed out exactly once."""
+    cards = {}
+    for v, card in tree.var_cards:
+        if v in cards:
+            raise ValueError(f"variable {v} is declared twice")
+        if card < 1:
+            raise ValueError(f"variable {v} has cardinality {card}, below 1")
+        cards[v] = card
+    factors_used = set()
+    children = set()
+    summed = set()
+    for i, node in enumerate(tree.nodes):
         if node.is_leaf:
-            used_factors[node.factor] = used_factors.get(node.factor, 0) + 1
-        for v in node.sum_out:
-            summed[v] = summed.get(v, 0) + 1
-    if tree.query_var in summed:
-        raise AssertionError("query variable was summed out")
-    if any(c != 1 for c in used_factors.values()):
-        raise AssertionError("a factor appears in more than one leaf")
+            if node.factor in factors_used:
+                raise ValueError(f"factor {node.factor} is in more than one leaf")
+            factors_used.add(node.factor)
+            held = set(node.scope)
+        else:
+            held = set()
+            for child in (node.left, node.right):
+                if not 0 <= child < i:
+                    raise ValueError(f"node {i} has child {child}, not an earlier node")
+                if child in children:
+                    raise ValueError(f"node {child} is a child twice")
+                children.add(child)
+                held.update(tree.nodes[child].scope)
+        if not set(node.scope) <= held or not held <= cards.keys():
+            raise ValueError(
+                f"node {i} holds a variable that is not declared "
+                f"or not held by its children"
+            )
+        for v in held - set(node.scope):
+            if v == tree.query_var:
+                raise ValueError("query variable was summed out")
+            if v in summed:
+                raise ValueError(f"variable {v} is summed out twice")
+            summed.add(v)
+    if not 0 <= tree.root < len(tree.nodes):
+        raise ValueError(f"root {tree.root} is not a node")
+    if tree.root in children or len(children) != len(tree.nodes) - 1:
+        raise ValueError(f"not every node is below root {tree.root}")
     root_scope = tree.nodes[tree.root].scope
     if tree.cp_count > 0 and root_scope != (tree.query_var,):
-        raise AssertionError(f"root scope {root_scope} != query variable")
-    leaf_vars = set()
-    for node in tree.nodes:
-        if node.is_leaf:
-            leaf_vars.update(node.scope)
-    for v in leaf_vars:
-        if v == tree.query_var:
-            continue
-        times = summed.get(v, 0)
-        if tree.cp_count > 0 and times != 1:
-            raise AssertionError(f"variable {v} summed {times} times")
+        raise ValueError(f"root scope {root_scope} != query variable")
 
 
 def evaluate_tree(
@@ -547,7 +576,7 @@ def posterior(net, query, heuristic: str = "set-factoring",
 
 def _tree_to_obj(tree: EvalTree) -> dict:
     nodes = []
-    for n in tree.nodes:
+    for i, n in enumerate(tree.nodes):
         if n.is_leaf:
             nodes.append({"factor": n.factor, "scope": list(n.scope)})
         else:
@@ -555,7 +584,7 @@ def _tree_to_obj(tree: EvalTree) -> dict:
                 {
                     "left": n.left,
                     "right": n.right,
-                    "sum_out": list(n.sum_out),
+                    "sum_out": list(tree.sum_out(i)),
                     "scope": list(n.scope),
                 }
             )
@@ -574,79 +603,44 @@ def save_tree(tree: EvalTree, path) -> None:
         fh.write("\n")
 
 
-def _int(value) -> int:
-    """An integer field of a tree file: TypeError for a bool, a string or
-    a fraction, which `int` would accept or truncate."""
-    if not network.is_integer(value):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def load_tree(path) -> EvalTree:
     """Parse and check a tree file (`tree_from_obj`)."""
     return tree_from_obj(network.read_json(path), path)
 
 
 def tree_from_obj(obj, path) -> EvalTree:
-    """Check the parsed JSON document of a tree file and return its tree;
-    path names the file in messages.  NetFormatError if it is malformed
-    or not a valid evaluation tree."""
+    """The tree in the parsed JSON document of a tree file; path names the
+    file in messages.  NetFormatError if the document is malformed, fails
+    `check_tree`, or lists a `sum_out` other than what its scopes give."""
     try:
         nodes = []
-        for rec in obj["nodes"]:
-            scope = tuple(map(_int, rec["scope"]))
+        listed = {}
+        for i, rec in enumerate(obj["nodes"]):
+            where = f"nodes[{i}]"
+            scope = tuple(json_int(v, where) for v in rec["scope"])
             if "factor" in rec:
-                nodes.append(EvalNode(_int(rec["factor"]), None, None, (), scope))
+                node = EvalNode(json_int(rec["factor"], where), None, None, scope)
             else:
-                nodes.append(
-                    EvalNode(
-                        None,
-                        _int(rec["left"]),
-                        _int(rec["right"]),
-                        tuple(map(_int, rec["sum_out"])),
-                        scope,
-                    )
-                )
+                left, right = (json_int(rec[k], where) for k in ("left", "right"))
+                node = EvalNode(None, left, right, scope)
+                listed[i] = {json_int(v, where) for v in rec["sum_out"]}
+            nodes.append(node)
         tree = EvalTree(
-            _int(obj["query_var"]),
-            tuple((_int(v), _int(c)) for v, c in obj["vars"]),
+            json_int(obj["query_var"], "query_var"),
+            tuple((json_int(v, "vars"), json_int(c, "vars")) for v, c in obj["vars"]),
             tuple(nodes),
-            _int(obj["root"]),
+            json_int(obj["root"], "root"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise network.NetFormatError(f"{path}: malformed tree file ({exc})") from exc
-    # one tree, children before parents: the order every pass over the node
-    # list relies on; scopes only over declared variables; each product sums
-    # out exactly what its children hold and it does not keep
-    cards = tree.card_map()
-    seen = set()
-    for i, node in enumerate(tree.nodes):
-        held = set(node.scope) if node.is_leaf else set()
-        for child in () if node.is_leaf else (node.left, node.right):
-            if not 0 <= child < i:
-                raise network.NetFormatError(
-                    f"{path}: node {i} has child {child}, not an earlier node"
-                )
-            if child in seen:
-                raise network.NetFormatError(f"{path}: node {child} is a child twice")
-            seen.add(child)
-            held.update(tree.nodes[child].scope)
-        if not set(node.scope) <= held or not held <= cards.keys():
-            raise network.NetFormatError(
-                f"{path}: node {i} holds a variable that is not declared "
-                f"or not held by its children"
-            )
-        if set(node.sum_out) != held - set(node.scope):
-            raise network.NetFormatError(
-                f"{path}: node {i} sums out {list(node.sum_out)}, not the "
-                f"variables its children hold and it does not keep"
-            )
-    if not 0 <= tree.root < len(tree.nodes):
-        raise network.NetFormatError(f"{path}: root {tree.root} is not a node")
-    if tree.root in seen or len(seen) != len(tree.nodes) - 1:
-        raise network.NetFormatError(f"{path}: not every node is below root {tree.root}")
     try:
         check_tree(tree)
-    except AssertionError as exc:
+        for i, sum_out in listed.items():
+            if sum_out != set(tree.sum_out(i)):
+                raise ValueError(
+                    f"node {i} sums out {sorted(sum_out)}, not the variables "
+                    f"its children hold and it does not keep"
+                )
+    except ValueError as exc:
         raise network.NetFormatError(f"{path}: not a valid evaluation tree ({exc})") from exc
     return tree

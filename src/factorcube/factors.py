@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network
+from . import _kernels, network
 
 DEFAULT_JOINT_CAP = 2 ** 24
 
@@ -83,17 +83,13 @@ def _union_vars(f1: Factor, f2: Factor) -> tuple[tuple[int, ...], tuple[int, ...
     return vs, tuple(cards[v] for v in vs)
 
 
-def _expand(f: Factor, union: tuple[int, ...], cards: tuple[int, ...]) -> np.ndarray:
-    """Reshape f's table so it broadcasts over the union variable space."""
-    shape = tuple(c if v in f.vars else 1 for v, c in zip(union, cards))
-    return f.table.reshape(shape or (1,))
-
-
 def conformal_product(f1: Factor, f2: Factor) -> Factor:
     """Pointwise product over the union of the two variable sets."""
     union, cards = _union_vars(f1, f2)
-    out = _expand(f1, union, cards) * _expand(f2, union, cards)
-    return Factor(union, cards, out.ravel())
+    table = _kernels.product_sum(
+        f1.table, f1.vars, f2.table, f2.vars, union, cards, union
+    )
+    return Factor(union, cards, table)
 
 
 def marginalize_out(f: Factor, drop) -> Factor:

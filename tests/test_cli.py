@@ -337,6 +337,9 @@ def test_simulate_checks_tree_node_indices(tmp_path, capsys, products, root, cod
     pytest.param((5,), ((0, 2), (1, 2), (5, 2)), (1,), id="scope-outside-children"),
     pytest.param((), ((0, 2), (1, 2)), (0, 1), id="query-summed-out"),
     pytest.param((0,), ((0, 2), (1, 2), (2, 2)), (1, 2), id="wrong-sum-out"),
+    pytest.param((0,), ((0, 2), (1, 0)), (1,), id="cardinality-zero"),
+    pytest.param((0,), ((0, 2), (1, -2)), (1,), id="negative-cardinality"),
+    pytest.param((0,), ((0, 2), (1, 2), (1, 5)), (1,), id="declared-twice"),
 ])
 def test_simulate_checks_tree_variables(tmp_path, capsys, scope, variables, sum_out):
     path = tmp_path / "t.json"
@@ -374,6 +377,14 @@ def test_simulate_malformed_machine_config(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", str(npath), "--machine", str(machine))
     assert code == EXIT_USAGE
     assert "machine" in err
+
+
+def test_simulate_rejects_zero_procs(tmp_path, capsys):
+    npath = tmp_path / "n.json"
+    write_two_node_net(npath)
+    code, _, err = run(capsys, "simulate", str(npath), "--procs", "0")
+    assert code == EXIT_USAGE
+    assert "n_a" in err
 
 
 # -- experiment ------------------------------------------------------------------

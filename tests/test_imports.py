@@ -49,3 +49,19 @@ def test_no_imports_inside_functions():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found.append(f"{path.name}:{node.lineno} in {fn.name}")
     assert found == []
+
+
+def test_benchmark_names_resolve():
+    # the benchmark wraps the attributes its span table names and calls
+    # factorcube.backend(); a rename passes every other test and breaks it
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    code = (
+        "import runpy, factorcube\n"
+        f"targets = runpy.run_path({str(spans)!r})['TARGETS']\n"
+        "names = [(m, a) for m, a, _ in targets] + [(factorcube, 'backend')]\n"
+        "print([f'{m.__name__}.{a}' for m, a in names\n"
+        "       if not callable(getattr(m, a, None))])\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
