@@ -56,12 +56,12 @@ def _range(kind, name: str):
 def _machine_from_args(args) -> costmodel.MachineParams:
     machine = (
         costmodel.load_machine(args.machine)
-        if getattr(args, "machine", None)
+        if args.machine
         else costmodel.DEFAULT_MACHINE
     )
-    if getattr(args, "procs", None) is not None:
+    if args.procs is not None:
         machine = replace(machine, n_a=args.procs)
-    if getattr(args, "grainsize", None) is not None:
+    if args.grainsize is not None:
         machine = replace(machine, g_min=args.grainsize)
     return machine
 

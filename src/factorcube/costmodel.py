@@ -15,7 +15,7 @@ to float once, so the accounting identities hold bit for bit; times are
 float64 microseconds.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import factoring, network
 
@@ -135,7 +135,7 @@ class LongestPath:
     cp_count: int
     seq_time: float
     par_time: float
-    node_ids: tuple[int, ...] = field(default=())
+    node_ids: tuple[int, ...]
 
 
 def processor_count(multiplies: int, result_size: int, machine: MachineParams) -> int:

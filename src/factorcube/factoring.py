@@ -91,11 +91,6 @@ class CpShape:
         return math.prod(map(self._card_of.__getitem__, vs))
 
     @property
-    def sum_out(self) -> tuple[int, ...]:
-        result = set(self.result_vars)
-        return tuple(v for v in self.union_vars if v not in result)
-
-    @property
     def d1(self) -> int:
         return len(self.vars1)
 
@@ -168,6 +163,8 @@ def _check_instance(scopes, cards, query_var) -> None:
     if not any(query_var in s for s in scopes):
         raise ValueError(f"query variable {query_var} appears in no factor")
     for s in scopes:
+        if any(a >= b for a, b in zip(s, s[1:])):
+            raise ValueError(f"scope {tuple(s)} is not strictly ascending")
         for v in s:
             if v not in cards:
                 raise ValueError(f"no cardinality given for variable {v}")
@@ -460,9 +457,10 @@ def check_tree(tree: EvalTree) -> None:
     """ValueError unless the tree is a valid evaluation tree: each variable
     declared once with cardinality at least 1; one tree, children before
     parents, which is the order every pass over the node list relies on;
-    each factor in one leaf; scopes only over declared variables, a
-    product's only over what its children hold; and, below a product
-    root, every variable but the query summed out exactly once."""
+    each factor, a number from 0, in one leaf; every scope strictly
+    ascending and only over declared variables, a product's only over what
+    its children hold; a root that holds the query variable; and, below a
+    product root, every variable but the query summed out exactly once."""
     cards = {}
     for v, card in tree.var_cards:
         if v in cards:
@@ -474,7 +472,11 @@ def check_tree(tree: EvalTree) -> None:
     children = set()
     summed = set()
     for i, node in enumerate(tree.nodes):
+        if any(a >= b for a, b in zip(node.scope, node.scope[1:])):
+            raise ValueError(f"node {i} scope {node.scope} is not strictly ascending")
         if node.is_leaf:
+            if node.factor < 0:
+                raise ValueError(f"node {i} has negative factor {node.factor}")
             if node.factor in factors_used:
                 raise ValueError(f"factor {node.factor} is in more than one leaf")
             factors_used.add(node.factor)
@@ -503,9 +505,11 @@ def check_tree(tree: EvalTree) -> None:
         raise ValueError(f"root {tree.root} is not a node")
     if tree.root in children or len(children) != len(tree.nodes) - 1:
         raise ValueError(f"not every node is below root {tree.root}")
-    root_scope = tree.nodes[tree.root].scope
-    if tree.cp_count > 0 and root_scope != (tree.query_var,):
-        raise ValueError(f"root scope {root_scope} != query variable")
+    root = tree.nodes[tree.root]
+    if tree.query_var not in root.scope:
+        raise ValueError(f"root scope {root.scope} does not hold the query variable")
+    if not root.is_leaf and root.scope != (tree.query_var,):
+        raise ValueError(f"root scope {root.scope} != query variable")
 
 
 def evaluate_tree(

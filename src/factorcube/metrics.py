@@ -148,11 +148,11 @@ def short_sci(x: float) -> str:
     return f"{mant:.1f}{'+' if exp >= 0 else '-'}{abs(exp)}"
 
 
-def _fmt_ratio(x, digits=2):
-    return "-" if x is None else f"{x:.{digits}f}"
+def _fmt_ratio(x):
+    return f"{x:.2f}"
 
 
-def _fmt_speedup(x):
+def _fmt_tenths(x):
     return f"{x:.1f}"
 
 
@@ -160,15 +160,11 @@ def _fmt_int(x):
     return str(int(x))
 
 
-def _fmt_arcs(x):
-    return f"{x:.1f}"
-
-
 # Each table shape: (column name, row attribute, text formatter).
 NET_TABLE_COLUMNS = (
     ("#", "net_index", _fmt_int),
     ("nodes", "nodes", _fmt_int),
-    ("arcs", "arcs", _fmt_arcs),
+    ("arcs", "arcs", _fmt_tenths),
     ("obs", "obs", _fmt_int),
     ("CPs", "cp_count", _fmt_int),
     ("seq-time", "seq_time_best", short_sci),
@@ -183,8 +179,8 @@ RESULTS_TABLE_COLUMNS = (
     ("cp-cst", "cp_cst", short_sci),
     ("cp/cm", "cp_over_cm", _fmt_ratio),
     ("ttl-cst", "ttl_cst", short_sci),
-    ("r-spdp", "r_spdp", _fmt_speedup),
-    ("a-spdp", "a_spdp", _fmt_speedup),
+    ("r-spdp", "r_spdp", _fmt_tenths),
+    ("a-spdp", "a_spdp", _fmt_tenths),
 )
 
 MEMORY_TABLE_COLUMNS = (
@@ -194,7 +190,7 @@ MEMORY_TABLE_COLUMNS = (
     ("BCA-mem", "bca_mem", short_sci),
     ("Dist-mem", "dist_mem", short_sci),
     ("memory", "memory", short_sci),
-    ("mem/Dist-mem", "mem_ratio", lambda x: "-" if x is None else f"{x:.0f}"),
+    ("mem/Dist-mem", "mem_ratio", lambda x: f"{x:.0f}"),
 )
 
 TREE_PARALLELISM_COLUMNS = (
@@ -202,7 +198,7 @@ TREE_PARALLELISM_COLUMNS = (
     ("para-cp", "para_cp", _fmt_int),
     ("%-cp", "pct_cp", _fmt_ratio),
     ("lp-cp", "lp_cp", _fmt_int),
-    ("lp-speedup", "lp_speedup", _fmt_speedup),
+    ("lp-speedup", "lp_speedup", _fmt_tenths),
     ("lp-%-cp", "lp_pct_cp", _fmt_ratio),
     ("%-time", "pct_time", lambda x: f"{x:.3f}"),
 )

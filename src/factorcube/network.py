@@ -11,6 +11,7 @@ Probabilities are written with shortest round-trip precision, so a
 save/load cycle reproduces every table bit for bit.
 """
 
+import graphlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -98,34 +99,6 @@ class Violation:
     message: str
 
 
-def _expected_cpt_len(net: BeliefNet, v: int) -> int:
-    size = net.variables[v].cardinality
-    for p in net.parents[v]:
-        size *= net.variables[p].cardinality
-    return size
-
-
-def topological_order(parents) -> list[int] | None:
-    """Topo order of 0..n-1 under the parent relation, or None on a cycle."""
-    n = len(parents)
-    remaining_parents = [len(set(ps)) for ps in parents]
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v, ps in enumerate(parents):
-        for p in set(ps):
-            if 0 <= p < n:
-                children[p].append(v)
-    ready = [v for v in range(n) if remaining_parents[v] == 0]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for c in children[v]:
-            remaining_parents[c] -= 1
-            if remaining_parents[c] == 0:
-                ready.append(c)
-    return order if len(order) == n else None
-
-
 def validate(net: BeliefNet) -> list[Violation]:
     """Check every net invariant; an empty report means the net is valid."""
     out: list[Violation] = []
@@ -161,10 +134,12 @@ def validate(net: BeliefNet) -> list[Violation]:
             )
     if any(o.kind == "parent-unknown" for o in out):
         return out
-    if topological_order(net.parents) is None:
+    try:
+        graphlib.TopologicalSorter(dict(enumerate(net.parents))).prepare()
+    except graphlib.CycleError:
         out.append(Violation("cycle", None, "parent relation contains a cycle"))
     for v in range(n):
-        want = _expected_cpt_len(net, v)
+        want = math.prod(net.variables[w].cardinality for w in (v, *net.parents[v]))
         got = net.cpts[v].size
         if got != want:
             out.append(

@@ -290,10 +290,11 @@ def test_simulate_rejects_unknown_format(tmp_path, capsys):
 
 
 def _tree_file(path, products, root, scope=(0,), variables=((0, 2), (1, 2)),
-               sum_out=(1,)):
-    """Tree file over leaves (0,) and (0, 1) (nodes 0 and 1), query 0;
-    each product is (left, right), summing out variable 1."""
-    nodes = [{"factor": 0, "scope": [0]}, {"factor": 1, "scope": [0, 1]}]
+               sum_out=(1,), leaves=((0, (0,)), (1, (0, 1)))):
+    """Tree file over leaves, by default factor 0 on (0,) and factor 1 on
+    (0, 1) (nodes 0 and 1), query 0; each product is (left, right),
+    summing out variable 1."""
+    nodes = [{"factor": f, "scope": list(s)} for f, s in leaves]
     nodes += [
         {"left": left, "right": right, "sum_out": list(sum_out), "scope": list(scope)}
         for left, right in products
@@ -332,18 +333,25 @@ def test_simulate_checks_tree_node_indices(tmp_path, capsys, products, root, cod
         assert "results (tree)" in out
 
 
-@pytest.mark.parametrize("scope, variables, sum_out", [
-    pytest.param((0,), ((0, 2),), (1,), id="undeclared-variable"),
-    pytest.param((5,), ((0, 2), (1, 2), (5, 2)), (1,), id="scope-outside-children"),
-    pytest.param((), ((0, 2), (1, 2)), (0, 1), id="query-summed-out"),
-    pytest.param((0,), ((0, 2), (1, 2), (2, 2)), (1, 2), id="wrong-sum-out"),
-    pytest.param((0,), ((0, 2), (1, 0)), (1,), id="cardinality-zero"),
-    pytest.param((0,), ((0, 2), (1, -2)), (1,), id="negative-cardinality"),
-    pytest.param((0,), ((0, 2), (1, 2), (1, 5)), (1,), id="declared-twice"),
+@pytest.mark.parametrize("tree", [
+    pytest.param({"variables": ((0, 2),)}, id="undeclared-variable"),
+    pytest.param({"scope": (5,), "variables": ((0, 2), (1, 2), (5, 2))},
+                 id="scope-outside-children"),
+    pytest.param({"scope": (), "sum_out": (0, 1)}, id="query-summed-out"),
+    pytest.param({"variables": ((0, 2), (1, 2), (2, 2)), "sum_out": (1, 2)},
+                 id="wrong-sum-out"),
+    pytest.param({"variables": ((0, 2), (1, 0))}, id="cardinality-zero"),
+    pytest.param({"variables": ((0, 2), (1, -2))}, id="negative-cardinality"),
+    pytest.param({"variables": ((0, 2), (1, 2), (1, 5))}, id="declared-twice"),
+    pytest.param({"leaves": ((0, (0,)), (1, (0, 1, 1)))}, id="repeated-variable"),
+    pytest.param({"leaves": ((0, (0,)), (1, (1, 0)))}, id="descending-scope"),
+    pytest.param({"products": [], "root": 0, "leaves": ((0, (1,)),)},
+                 id="leaf-root-without-query"),
+    pytest.param({"leaves": ((-4, (0,)), (1, (0, 1)))}, id="negative-factor"),
 ])
-def test_simulate_checks_tree_variables(tmp_path, capsys, scope, variables, sum_out):
+def test_simulate_checks_tree_variables(tmp_path, capsys, tree):
     path = tmp_path / "t.json"
-    _tree_file(path, [(0, 1)], 2, scope, variables, sum_out)
+    _tree_file(path, **{"products": [(0, 1)], "root": 2, **tree})
     code, _, err = run(capsys, "simulate", str(path))
     assert code == EXIT_PARSE
     assert str(path) in err

@@ -53,6 +53,13 @@ def test_build_requires_query_coverage():
         build_set_factoring([], B2, 0)
 
 
+@pytest.mark.parametrize("heuristic", factoring.HEURISTICS)
+@pytest.mark.parametrize("scope", [(1, 0), (0, 1, 1)])
+def test_build_rejects_unordered_scope(heuristic, scope):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        factoring.build_tree(heuristic, [scope, (1, 2)], B2, 0)
+
+
 def test_structure_over_random_instances():
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -348,7 +355,7 @@ def test_tree_stats_hand_example():
     assert st.cp_count == 1
     sh = st.shapes[0]
     assert (sh.d1, sh.d2, sh.u, sh.r) == (2, 2, 3, 1)
-    assert sh.sum_out == (1, 2)
+    assert tree.sum_out(tree.root) == (1, 2)
     assert (st.dm, st.md) == (3, 2)
     assert st.dd == pytest.approx(1 / 3)
 
@@ -363,7 +370,6 @@ def test_cp_shape_sizes():
     sh = CpShape((0, 1), (1, 2), (0, 1, 2), (0, 2), (2, 3, 4))
     assert sh.multiply_count == 24
     assert (sh.size1, sh.size2, sh.result_size) == (6, 12, 8)
-    assert sh.sum_out == (1,)
 
 
 def test_md_tie_break_takes_max():

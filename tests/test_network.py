@@ -44,6 +44,16 @@ def test_validate_flags_cycle():
     assert "cycle" in {v.kind for v in report}
 
 
+def test_validate_flags_self_loop_as_cycle():
+    report = network.validate(net_of([(0,)], [[0.5] * 4]))
+    assert [v.kind for v in report] == ["cycle"]
+
+
+def test_validate_repeated_parent_is_not_a_cycle():
+    report = network.validate(net_of([(), (0, 0)], [[0.5] * 2, [0.5] * 8]))
+    assert [v.kind for v in report] == ["parent-duplicate"]
+
+
 def test_validate_flags_cpt_size_and_unknown_parent():
     report = network.validate(net_of([(5,)], [[0.5, 0.5]]))
     assert "parent-unknown" in {v.kind for v in report}
