@@ -1,7 +1,13 @@
 """The numeric evaluator's inner loop: one fused conformal product and
 summation per tree node."""
 
+import math
+
 import numpy as np
+
+# Products with fewer joint assignments than this skip einsum's path
+# optimizer: planning a call costs more than the small contraction itself.
+_OPTIMIZE_FROM = 2 ** 10
 
 
 def backend() -> str:
@@ -14,18 +20,18 @@ def product_sum(t1, vars1, t2, vars2, union, cards, result_vars) -> np.ndarray:
 
     `union`/`cards` describe the joint assignment space (ascending ids,
     last variable fastest); `result_vars` must be a subset of `union`.
-    The product is formed over the full union table and then reduced.
-    Returns a new array, which the caller may scale in place.
+    One `np.einsum` call labels each variable by its position in `union`,
+    so `union` may hold at most 52 variables, einsum's label limit (a
+    table over 53 binary variables could not be allocated anyway).  Large
+    products take einsum's optimized path, which sums out a variable only
+    one input holds before the product and multiplies the rest as one
+    batched matmul.  Returns a new array, which the caller may scale in
+    place.
     """
-    in1 = set(vars1)
-    in2 = set(vars2)
-    kept = set(result_vars)
-    shape1 = tuple(cards[i] if v in in1 else 1 for i, v in enumerate(union))
-    shape2 = tuple(cards[i] if v in in2 else 1 for i, v in enumerate(union))
-    full = np.asarray(t1, dtype=np.float64).reshape(shape1 or (1,)) * np.asarray(
-        t2, dtype=np.float64
-    ).reshape(shape2 or (1,))
-    dropped = tuple(i for i, v in enumerate(union) if v not in kept)
-    if dropped:
-        full = full.sum(axis=dropped)
-    return np.asarray(full, dtype=np.float64).ravel()
+    pos = {v: i for i, v in enumerate(union)}
+    return np.einsum(
+        np.reshape(t1, [cards[pos[v]] for v in vars1]), [pos[v] for v in vars1],
+        np.reshape(t2, [cards[pos[v]] for v in vars2]), [pos[v] for v in vars2],
+        [pos[v] for v in result_vars],
+        optimize=math.prod(cards) >= _OPTIMIZE_FROM,
+    ).ravel()

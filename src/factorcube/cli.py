@@ -162,9 +162,9 @@ class ExperimentConfig:
     machine, and the master seed that derives every per-net seed."""
 
     count: int = 8
-    node_count_range: tuple[int, int] = (10, 100)
-    avg_arcs_range: tuple[float, float] = (1.0, 5.0)
-    obs_count_range: tuple[int, int] = (1, 20)
+    node_count_range: tuple[int, int] = network.NetGenParams.node_count_range
+    avg_arcs_range: tuple[float, float] = network.NetGenParams.avg_arcs_range
+    obs_count_range: tuple[int, int] = network.NetGenParams.obs_count_range
     heuristics: tuple[str, ...] = factoring.HEURISTICS
     machine: costmodel.MachineParams = field(
         default_factory=lambda: costmodel.DEFAULT_MACHINE
@@ -310,13 +310,14 @@ def _add_machine_flags(p) -> None:
 
 
 def _add_gen_flags(p) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=_range(int, "INT"), default=(10, 100),
-                   metavar="A..B")
-    p.add_argument("--arcs", type=_range(float, "NUM"), default=(1.0, 5.0),
-                   metavar="A..B")
-    p.add_argument("--obs", type=_range(int, "INT"), default=(1, 20),
-                   metavar="A..B")
+    gen = network.NetGenParams
+    p.add_argument("--seed", type=int, default=gen.seed)
+    p.add_argument("--nodes", type=_range(int, "INT"),
+                   default=gen.node_count_range, metavar="A..B")
+    p.add_argument("--arcs", type=_range(float, "NUM"),
+                   default=gen.avg_arcs_range, metavar="A..B")
+    p.add_argument("--obs", type=_range(int, "INT"),
+                   default=gen.obs_count_range, metavar="A..B")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("experiment", help="run the full random-net protocol")
-    p.add_argument("--count", type=int, default=8, help="number of nets")
+    p.add_argument("--count", type=int, default=ExperimentConfig.count,
+                   help="number of nets")
     _add_gen_flags(p)
     p.add_argument("--heuristic", action="append",
                    choices=factoring.HEURISTICS,

@@ -85,25 +85,17 @@ def load_machine(path) -> MachineParams:
 
 
 @dataclass(frozen=True)
-class SplitPlan:
-    """How one conformal product is spread over the cube.
+class CpCost:
+    """Modeled cost of one conformal product and how it is spread over
+    the cube.
 
-    split_vars: result variables whose joint assignment indexes the
-    processors; d_max: cube dimension used; b_d: bytes sent to each worker;
-    b_result: bytes of the whole result table, which the n_u workers
-    return in equal shares of b_result / n_u.  Both are 0 for an
-    undistributed product.
+    split_vars: result variables whose joint assignment indexes the n_u
+    processors; b_d: bytes sent to each worker; b_result: bytes of the
+    whole result table, which the n_u workers return in equal shares of
+    b_result / n_u.  split_vars is empty and both byte counts are 0 for
+    an undistributed product.
     """
 
-    split_vars: tuple[int, ...]
-    n_u: int
-    d_max: int
-    b_d: int
-    b_result: int
-
-
-@dataclass(frozen=True)
-class CpCost:
     t_s: float
     t_p: float
     w: float
@@ -111,7 +103,14 @@ class CpCost:
     c_r: float
     n_u: int
     shape: object
-    plan: SplitPlan
+    split_vars: tuple[int, ...]
+    b_d: int
+    b_result: int
+
+    @property
+    def d_max(self) -> int:
+        """Cube dimension used."""
+        return self.n_u.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -185,34 +184,6 @@ def choose_split(shared, only1, only2, cards, size1: int, size2: int, n_u: int):
     return split, size1 // k1 + size2 // k2
 
 
-def plan_split(shape, machine: MachineParams) -> SplitPlan:
-    """Processor count (`processor_count`) and split variables
-    (`choose_split`) of one product, with its per-worker byte counts."""
-    m = shape.multiply_count
-    rsize = shape.result_size
-    n_u = processor_count(m, rsize, machine)
-    if n_u == 1:
-        return SplitPlan((), 1, 0, 0, 0)
-
-    cards = dict(zip(shape.union_vars, shape.cards))
-    in1 = set(shape.vars1)
-    in2 = set(shape.vars2)
-    split, entries = choose_split(
-        [v for v in shape.result_vars if v in in1 and v in in2],
-        [v for v in shape.result_vars if v in in1 and v not in in2],
-        [v for v in shape.result_vars if v in in2 and v not in in1],
-        cards, shape.size1, shape.size2, n_u,
-    )
-    bpe = machine.bytes_per_entry
-    return SplitPlan(
-        split_vars=tuple(split),
-        n_u=n_u,
-        d_max=n_u.bit_length() - 1,
-        b_d=bpe * entries,
-        b_result=bpe * rsize,
-    )
-
-
 def _spanning_tree_time(d_max: int, n_u: int, nbytes: float, machine: MachineParams) -> float:
     """Time to move nbytes to or from each of n_u workers over a spanning
     tree of depth d_max."""
@@ -227,7 +198,7 @@ def bca_time(multiplies: int, result_size: int, n_u: int, b_d, machine: MachineP
     A product on one processor (n_u == 1) runs sequentially: it pays
     alpha per multiply and no communication, startup or buffering.
     Every quotient is rounded to float once, from exact integers, so the
-    times equal those computed from a SplitPlan's fields.
+    times equal those computed from a CpCost's fields.
     """
     if n_u == 1:
         t_s = machine.alpha * multiplies
@@ -244,19 +215,32 @@ def bca_time(multiplies: int, result_size: int, n_u: int, b_d, machine: MachineP
 
 
 def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
-    """Modeled cost of one conformal product: its split plan, priced by
+    """Modeled cost of one conformal product: its processor count
+    (`processor_count`) and split variables (`choose_split`), priced by
     `bca_time`; t_s is the price of the same product on one processor."""
     m = shape.multiply_count
     rsize = shape.result_size
-    plan = plan_split(shape, machine)
+    n_u = processor_count(m, rsize, machine)
+    split, b_d, b_result = (), 0, 0
+    if n_u > 1:
+        in1 = set(shape.vars1)
+        in2 = set(shape.vars2)
+        split, entries = choose_split(
+            [v for v in shape.result_vars if v in in1 and v in in2],
+            [v for v in shape.result_vars if v in in1 and v not in in2],
+            [v for v in shape.result_vars if v in in2 and v not in in1],
+            shape._card_of, shape.size1, shape.size2, n_u,
+        )
+        b_d = machine.bytes_per_entry * entries
+        b_result = machine.bytes_per_entry * rsize
     t_s = bca_time(m, rsize, 1, 0, machine)[3]
-    w, c_d, c_r, t_p = bca_time(m, rsize, plan.n_u, plan.b_d, machine)
-    return CpCost(t_s, t_p, w, c_d, c_r, plan.n_u, shape, plan)
+    w, c_d, c_r, t_p = bca_time(m, rsize, n_u, b_d, machine)
+    return CpCost(t_s, t_p, w, c_d, c_r, n_u, shape, tuple(split), b_d, b_result)
 
 
 def query_costs(tree, machine: MachineParams) -> QueryCost:
-    """The one cost pass of a tree: each product's shape, split plan and
-    cost, derived once, with their query-level sums.
+    """The one cost pass of a tree: each product's shape, split and cost,
+    derived once, with their query-level sums.
 
     Sequential products contribute their full t_s to the computation
     total; only distributed products contribute communication.
@@ -324,11 +308,10 @@ def memory_accounting(tree, qc: QueryCost):
     """
     if not qc.per_cp:
         return 0.0, 0.0, 0.0
-    top = max(c.plan.d_max for c in qc.per_cp)
+    top = max(c.d_max for c in qc.per_cp)
     total = total_excl = biggest = 0
     for node_id, c in zip(qc.node_ids, qc.per_cp):
-        plan = c.plan
-        moved = (plan.b_d << top) + (plan.b_result << (top - plan.d_max))
+        moved = (c.b_d << top) + (c.b_result << (top - c.d_max))
         total += moved
         if node_id != tree.root:
             total_excl += moved

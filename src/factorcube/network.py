@@ -263,6 +263,8 @@ def random_net(params: NetGenParams) -> tuple[BeliefNet, QuerySpec]:
     n_lo, n_hi = params.node_count_range
     a_lo, a_hi = params.avg_arcs_range
     o_lo, o_hi = params.obs_count_range
+    if not all(map(math.isfinite, params.avg_arcs_range)):
+        raise GenerationError(f"arcs range {params.avg_arcs_range} must be finite")
     if n_lo > n_hi or a_lo > a_hi or o_lo > o_hi:
         raise GenerationError(
             f"empty range: nodes {params.node_count_range}, "
@@ -340,9 +342,13 @@ def save_net(net: BeliefNet, query: QuerySpec, path) -> None:
 
 
 def read_json(path):
-    """The JSON document in the file at path; NetFormatError if the file
-    is not valid JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON document in the file at path; ValueError naming the path
+    if the file cannot be opened, NetFormatError if it is not valid JSON."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror})") from exc
+    with fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

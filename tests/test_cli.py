@@ -47,6 +47,9 @@ def test_gen_range_errors(capsys):
     assert "range" in err
     code, _, err = run(capsys, "gen", "--nodes", "4..4", "--arcs", "3..3")
     assert code == EXIT_USAGE
+    code, _, err = run(capsys, "gen", "--arcs", "1..inf")
+    assert code == EXIT_USAGE
+    assert err == "error: arcs range (1.0, inf) must be finite\n"
 
 
 def test_gen_rejects_malformed_range(capsys):
@@ -54,6 +57,27 @@ def test_gen_rejects_malformed_range(capsys):
         main(["gen", "--nodes", "ten..twenty"])
     assert err.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+# -- unreadable input files ----------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("query", "{missing}"),
+    ("plan", "{missing}"),
+    ("simulate", "{missing}"),
+    ("validate", "{missing}"),
+    ("simulate", "{directory}"),
+    ("query", "{net}", "--machine", "{missing}"),
+])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, argv):
+    net = tmp_path / "n.json"
+    write_two_node_net(net)
+    paths = {"missing": tmp_path / "missing.json", "directory": tmp_path, "net": net}
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {argv[-1]}: cannot read (")
 
 
 # -- validate ------------------------------------------------------------------

@@ -13,7 +13,6 @@ from factorcube.costmodel import (
     longest_path,
     memory_accounting,
     parallel_cp_cost,
-    plan_split,
     query_costs,
 )
 from factorcube.factoring import CpShape, build_chain_baseline, build_set_factoring
@@ -83,26 +82,26 @@ def test_seq_cost_examples():
 
 def test_plan_split_saturates_all_constraints():
     shape = plain_shape(20, 12)
-    plan = plan_split(shape, DEFAULT_MACHINE)
-    g = shape.multiply_count // plan.n_u  # multiplies per processor
-    assert g * plan.n_u == shape.multiply_count
-    assert (plan.n_u, g, plan.d_max) == (1024, 1024, 10)
+    cost = parallel_cp_cost(shape, DEFAULT_MACHINE)
+    g = shape.multiply_count // cost.n_u  # multiplies per processor
+    assert g * cost.n_u == shape.multiply_count
+    assert (cost.n_u, g, cost.d_max) == (1024, 1024, 10)
     assert g >= DEFAULT_MACHINE.g_min
-    assert plan.n_u <= shape.result_size
+    assert cost.n_u <= shape.result_size
 
 
 def test_plan_split_sequential_fallback_under_grainsize():
-    plan = plan_split(plain_shape(8, 8), DEFAULT_MACHINE)
-    assert plan.n_u == 1
-    assert plan.b_d == 0 and plan.b_result == 0
+    cost = parallel_cp_cost(plain_shape(8, 8), DEFAULT_MACHINE)
+    assert cost.n_u == 1
+    assert cost.b_d == 0 and cost.b_result == 0
 
 
 def test_plan_split_prefers_shared_variables():
     # inputs {A,B,C} and {B,C,D}; C summed out; result {A,B,D}
     shape = CpShape((0, 1, 2), (1, 2, 3), (0, 1, 2, 3), (0, 1, 3), (2,) * 4)
     machine = MachineParams(n_a=2, g_min=1)
-    plan = plan_split(shape, machine)
-    assert plan.split_vars == (1,)  # B, the shared result variable
+    cost = parallel_cp_cost(shape, machine)
+    assert cost.split_vars == (1,)  # B, the shared result variable
 
     def b_total_for(var):
         k1 = 2 if var in shape.vars1 else 1
@@ -110,7 +109,7 @@ def test_plan_split_prefers_shared_variables():
         return 2 * 4 * (Fraction(shape.size1, k1) + Fraction(shape.size2, k2))
 
     candidates = {v: b_total_for(v) for v in (0, 1, 3)}
-    assert plan.n_u * plan.b_d == min(candidates.values())
+    assert cost.n_u * cost.b_d == min(candidates.values())
     assert candidates[1] < candidates[0] and candidates[1] < candidates[3]
 
 
@@ -118,10 +117,10 @@ def test_plan_split_single_input_vars_balance_slices():
     # no shared result vars: splits must pour onto the larger input first
     shape = binary_shape(10, 4, 2, 2)
     machine = MachineParams(n_a=64, g_min=1)
-    plan = plan_split(shape, machine)
+    cost = parallel_cp_cost(shape, machine)
     in1 = set(shape.vars1) - set(shape.vars2)
-    assert plan.n_u == 64
-    taken1 = sum(1 for v in plan.split_vars if v in in1)
+    assert cost.n_u == 64
+    taken1 = sum(1 for v in cost.split_vars if v in in1)
     assert taken1 >= 4  # bigger input absorbs most of the split
 
 
@@ -202,25 +201,25 @@ def test_choose_split_matches_fraction_slices():
         result = tuple(sorted(rng.sample(union, rng.randint(1, len(union)))))
         cards = tuple(rng.randint(2, 5) for _ in union)
         shape = CpShape(vars1, vars2, union, result, cards)
-        plan = plan_split(shape, machine)
-        if plan.n_u == 1:
+        cost = parallel_cp_cost(shape, machine)
+        if cost.n_u == 1:
             continue
         split_plans += 1
-        assert plan.split_vars == fraction_split(shape, plan.n_u)
+        assert cost.split_vars == fraction_split(shape, cost.n_u)
     assert split_plans > 200
 
 
 def test_byte_accounting_is_exact():
     bpe = DEFAULT_MACHINE.bytes_per_entry
     for shape in (plain_shape(20, 12), binary_shape(14, 11, 6, 3)):
-        plan = plan_split(shape, DEFAULT_MACHINE)
+        cost = parallel_cp_cost(shape, DEFAULT_MACHINE)
         # each worker gets one slice of each input, cut by the split vars
-        k1 = math.prod(2 for v in plan.split_vars if v in shape.vars1)
-        k2 = math.prod(2 for v in plan.split_vars if v in shape.vars2)
+        k1 = math.prod(2 for v in cost.split_vars if v in shape.vars1)
+        k2 = math.prod(2 for v in cost.split_vars if v in shape.vars2)
         assert shape.size1 % k1 == 0 and shape.size2 % k2 == 0
-        assert plan.b_d == bpe * (shape.size1 // k1 + shape.size2 // k2)
-        assert plan.b_result == bpe * shape.result_size
-        assert plan.b_result % plan.n_u == 0  # whole bytes per worker here
+        assert cost.b_d == bpe * (shape.size1 // k1 + shape.size2 // k2)
+        assert cost.b_result == bpe * shape.result_size
+        assert cost.b_result % cost.n_u == 0  # whole bytes per worker here
 
 
 # -- communication formulas --------------------------------------------------
@@ -269,10 +268,9 @@ def test_parallel_cost_composes_verified_pieces():
     cost = parallel_cp_cost(shape, DEFAULT_MACHINE)
     assert cost.n_u == 1024
     assert cost.w == 45.0 * 1024
-    plan = plan_split(shape, DEFAULT_MACHINE)
     # each worker gets a 1024-entry slice of both inputs, returns 4 entries
-    assert plan.b_d == 4 * 2048 and plan.b_result == 4 * 4096
-    assert (cost.c_d, cost.c_r) == comm_times(1024, plan.b_d, shape.result_size)
+    assert cost.b_d == 4 * 2048 and cost.b_result == 4 * 4096
+    assert (cost.c_d, cost.c_r) == comm_times(1024, cost.b_d, shape.result_size)
     assert cost.c_d == 2300.0 + 8192 * 1023 * 0.5 == 4_192_508.0
     assert cost.c_r == 2300.0 + 16 * 1023 * 0.5 == 10_484.0
     assert cost.t_p == cost.w + cost.c_d + cost.c_r == 4_249_072.0
@@ -290,7 +288,7 @@ def test_fixed_overheads_only_on_distributed_products():
     # nodes 1 x 2: 128 multiplies, result {1}, so two workers split on 1
     dist_shape = CpShape((1, 2), (2, 3, 4, 5, 6, 7), tuple(range(1, 8)), (1,), (2,) * 7)
     dist = parallel_cp_cost(dist_shape, machine)
-    assert dist.n_u == 2 and dist.plan.split_vars == (1,)
+    assert dist.n_u == 2 and dist.split_vars == (1,)
     assert (dist.w, dist.c_d, dist.c_r) == (45.0 * 64, 230.0 + 264 * 0.5, 230.0 + 4 * 0.5)
     assert dist.t_p == (
         machine.p_init + machine.s_setup + dist.w + dist.c_d + dist.c_r
@@ -383,7 +381,7 @@ def test_distnet_zero_cases():
 
 def test_distnet_report_pays_return_path_twice(protocol_corpus):
     # Dist-cm: each distributed product's result gathered and rebroadcast,
-    # from the plan's fields; no input distribution
+    # from each product's split fields; no input distribution
     checked = 0
     for inst in protocol_corpus[:10]:
         rows = metrics.build_report_rows(
@@ -392,9 +390,8 @@ def test_distnet_report_pays_return_path_twice(protocol_corpus):
         for h, tree in inst["trees"].items():
             want = 0.0
             for c in query_costs(tree, DEFAULT_MACHINE).per_cp:
-                plan = c.plan
-                if plan.n_u > 1:
-                    back = plan.d_max * 230.0 + plan.b_result / plan.n_u * (plan.n_u - 1) * 0.5
+                if c.n_u > 1:
+                    back = c.d_max * 230.0 + c.b_result / c.n_u * (c.n_u - 1) * 0.5
                     want += 2.0 * back
                     checked += 1
             assert rows[h].dist_cm == want
@@ -423,7 +420,7 @@ def test_memory_excludes_root_product(protocol_corpus):
     root_cost = qc.per_cp[-1]
     assert qc.node_ids[-1] == tree.root
     assert bca - bca_excl == pytest.approx(
-        root_cost.plan.b_d + root_cost.plan.b_result / root_cost.n_u, rel=1e-12
+        root_cost.b_d + root_cost.b_result / root_cost.n_u, rel=1e-12
     )
 
 

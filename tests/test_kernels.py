@@ -1,47 +1,88 @@
-"""The product+sum kernel against an unfused product and sum by
-`np.einsum`, and the time-keyed builder against the exact planner costs."""
+"""The product+sum kernel against a walk over every joint assignment,
+and the time-keyed builder against the exact planner costs."""
 
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import factorcube
 from factorcube import _kernels, costmodel, factoring
-from factorcube import factors as fa
 
 
 def test_backend_is_numpy():
     assert factorcube.backend() == "numpy"
 
 
-def unfused(f1, f2, keep):
-    """f1 * f2 over the union of their variables, summed down to keep."""
-    union = sorted({*f1.vars, *f2.vars})
-    letter = {v: chr(ord("a") + i) for i, v in enumerate(union)}
-    spec = ",".join("".join(letter[v] for v in f.vars) for f in (f1, f2))
-    spec += "->" + "".join(letter[v] for v in keep)
-    return np.einsum(spec, f1.table.reshape(f1.cards), f2.table.reshape(f2.cards)).ravel()
+def enumerated(t1, vars1, t2, vars2, union, cards, keep):
+    """Walk every joint assignment of union, adding t1 * t2 into the
+    result entry of its kept values."""
+    def index(vs, x):
+        i = 0
+        for v in vs:
+            k = union.index(v)
+            i = i * cards[k] + x[k]
+        return i
+
+    out = np.zeros(math.prod(cards[union.index(v)] for v in keep))
+    for x in itertools.product(*map(range, cards)):
+        out[index(keep, x)] += t1[index(vars1, x)] * t2[index(vars2, x)]
+    return out
 
 
-def test_product_sum_matches_unfused_algebra():
+def check_product_sum(rng, vars1, vars2, keep, card_of):
+    union = tuple(sorted({*vars1, *vars2}))
+    cards = tuple(card_of(v) for v in union)
+    t1, t2 = (
+        rng.random(math.prod(card_of(v) for v in vs)) for vs in (vars1, vars2)
+    )
+    t1.setflags(write=False)
+    t2.setflags(write=False)
+    got = _kernels.product_sum(t1, vars1, t2, vars2, union, cards, keep)
+    np.testing.assert_allclose(
+        got, enumerated(t1, vars1, t2, vars2, union, cards, keep), rtol=1e-12
+    )
+    # evaluate_tree rescales the result in place
+    assert got.flags.writeable
+    assert not np.shares_memory(got, t1) and not np.shares_memory(got, t2)
+
+
+def test_product_sum_matches_enumeration():
     rng = np.random.default_rng(2)
     for _ in range(25):
         nv = int(rng.integers(1, 7))
-        v1 = tuple(sorted(rng.choice(nv + 2, size=int(rng.integers(1, nv + 1)),
-                                     replace=False).tolist()))
-        v2 = tuple(sorted(rng.choice(nv + 2, size=int(rng.integers(1, nv + 1)),
-                                     replace=False).tolist()))
-        union = tuple(sorted(set(v1) | set(v2)))
-        cards = tuple(int(rng.integers(2, 4)) for _ in union)
-        card_of = dict(zip(union, cards))
-        f1 = fa.Factor(v1, tuple(card_of[v] for v in v1),
-                       rng.random(int(np.prod([card_of[v] for v in v1]))))
-        f2 = fa.Factor(v2, tuple(card_of[v] for v in v2),
-                       rng.random(int(np.prod([card_of[v] for v in v2]))))
-        keep = tuple(v for v in union if rng.random() < 0.6)
+        v1, v2 = (
+            tuple(sorted(rng.choice(nv + 2, size=int(rng.integers(0, nv + 1)),
+                                    replace=False).tolist()))
+            for _ in range(2)
+        )
+        keep = tuple(v for v in sorted({*v1, *v2}) if rng.random() < 0.6)
+        cards = dict(enumerate(rng.integers(2, 4, size=nv + 2).tolist()))
+        check_product_sum(rng, v1, v2, keep, cards.__getitem__)
 
-        got = _kernels.product_sum(f1.table, v1, f2.table, v2, union, cards, keep)
-        np.testing.assert_allclose(got, unfused(f1, f2, keep), rtol=1e-12)
+
+@pytest.mark.parametrize(
+    "vars1, vars2, keep",
+    [
+        ((), (0, 1), (0,)),
+        ((0, 1), (), (1,)),
+        ((), (), ()),
+        ((0, 1), (1, 2), ()),
+        ((0, 1), (1, 2), (0, 1, 2)),
+        # 432 and 1296 joint assignments: either side of einsum's path optimizer
+        (tuple(range(5)), tuple(range(2, 7)), (1, 4, 6)),
+        (tuple(range(6)), tuple(range(2, 8)), (1, 4, 6)),
+        (tuple(range(6)), tuple(range(2, 8)), tuple(range(8))),
+        (tuple(range(6)), tuple(range(2, 8)), ()),
+    ],
+)
+def test_product_sum_edge_shapes(vars1, vars2, keep):
+    # cardinalities 2 and 3 alternate with the variable id
+    check_product_sum(
+        np.random.default_rng(3), vars1, vars2, keep, lambda v: 2 + v % 2
+    )
 
 
 def test_product_sum_medium_dimension():
@@ -54,10 +95,15 @@ def test_product_sum_medium_dimension():
     keep = union[2:9]
     t1 = rng.random(2 ** len(vars1))
     t2 = rng.random(2 ** len(vars2))
+    t1.setflags(write=False)
+    t2.setflags(write=False)
     got = _kernels.product_sum(t1, vars1, t2, vars2, union, cards, keep)
-    f1 = fa.Factor(vars1, (2,) * len(vars1), t1)
-    f2 = fa.Factor(vars2, (2,) * len(vars2), t2)
-    np.testing.assert_allclose(got, unfused(f1, f2, keep), rtol=1e-12)
+    assert got.flags.writeable
+    assert not np.shares_memory(got, t1) and not np.shares_memory(got, t2)
+    # broadcast both inputs over the union, multiply, then sum the dropped axes
+    full = t1.reshape((2,) * (u - 3) + (1,) * 3) * t2.reshape((1,) * 3 + (2,) * (u - 3))
+    want = full.sum(axis=tuple(i for i in union if i not in keep)).ravel()
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_time_key_selection_dominates_exact_costs():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -124,6 +125,9 @@ def test_random_net_infeasible_ranges():
         network.random_net(NetGenParams((4, 4), (3.0, 3.0), (1, 1), 0))
     with pytest.raises(GenerationError):  # cannot observe every node
         network.random_net(NetGenParams((3, 3), (1.0, 1.0), (3, 3), 0))
+    for arcs in ((1.0, math.inf), (math.nan, 2.0)):
+        with pytest.raises(GenerationError, match=rf"arcs range \({arcs[0]}, "):
+            network.random_net(NetGenParams((4, 4), arcs, (1, 1), 0))
 
 
 # -- relevance pruning -------------------------------------------------------
