@@ -15,23 +15,28 @@ def backend() -> str:
     return "numpy"
 
 
-def product_sum(t1, vars1, t2, vars2, union, cards, result_vars) -> np.ndarray:
+def product_sum(t1, vars1, t2, vars2, result_vars) -> np.ndarray:
     """result(y) = sum over dropped vars of t1(x|vars1) * t2(x|vars2).
 
-    `union`/`cards` describe the joint assignment space (ascending ids,
-    last variable fastest); `result_vars` must be a subset of `union`.
-    One `np.einsum` call labels each variable by its position in `union`,
-    so `union` may hold at most 52 variables, einsum's label limit (a
-    table over 53 binary variables could not be allocated anyway).  Large
-    products take einsum's optimized path, which sums out a variable only
-    one input holds before the product and multiplies the rest as one
-    batched matmul.  Returns a new array, which the caller may scale in
-    place.
+    Each table has one axis per variable of its list, in list order, and
+    the result has one per variable of `result_vars`, which must be a
+    subset of the union of vars1 and vars2.  Cardinalities are read from
+    the shapes; a variable held by both inputs must have the same length
+    in each.  One `np.einsum` call labels each union variable by a small
+    integer, so the union may hold at most 52 variables, einsum's label
+    limit (a table over 53 binary variables could not be allocated
+    anyway).  Large products take einsum's optimized path, which sums out
+    a variable only one input holds before the product and multiplies the
+    rest as one batched matmul.  Returns a new writeable array, which the
+    caller may scale in place.
     """
-    pos = {v: i for i, v in enumerate(union)}
-    return np.einsum(
-        np.reshape(t1, [cards[pos[v]] for v in vars1]), [pos[v] for v in vars1],
-        np.reshape(t2, [cards[pos[v]] for v in vars2]), [pos[v] for v in vars2],
-        [pos[v] for v in result_vars],
-        optimize=math.prod(cards) >= _OPTIMIZE_FROM,
-    ).ravel()
+    card = dict(zip(vars1, t1.shape))
+    card.update(zip(vars2, t2.shape))
+    label = {v: i for i, v in enumerate(card)}
+    # einsum returns a numpy scalar, not an array, when result_vars is empty
+    return np.asarray(np.einsum(
+        t1, [label[v] for v in vars1],
+        t2, [label[v] for v in vars2],
+        [label[v] for v in result_vars],
+        optimize=math.prod(card.values()) >= _OPTIMIZE_FROM,
+    ))

@@ -179,6 +179,13 @@ class ExperimentConfig:
         unknown = set(self.heuristics) - set(factoring.HEURISTICS)
         if unknown:
             raise ValueError(f"unknown heuristics: {sorted(unknown)}")
+        self.net_params(0)  # GenerationError for ranges no net can meet
+
+    def net_params(self, seed: int) -> network.NetGenParams:
+        """The generator parameters of the net with this seed."""
+        return network.NetGenParams(
+            self.node_count_range, self.avg_arcs_range, self.obs_count_range, seed
+        )
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
@@ -193,14 +200,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     failures = []
     for i in range(1, config.count + 1):
         seed = net_seed(config.master_seed, i)
-        params = network.NetGenParams(
-            node_count_range=config.node_count_range,
-            avg_arcs_range=config.avg_arcs_range,
-            obs_count_range=config.obs_count_range,
-            seed=seed,
-        )
         try:
-            net, query = network.random_net(params)
+            net, query = network.random_net(config.net_params(seed))
             per_net_rows.append(
                 _rows_for_net(net, query, heuristics, config.machine, i)
             )

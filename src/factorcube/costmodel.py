@@ -15,6 +15,7 @@ to float once, so the accounting identities hold bit for bit; times are
 float64 microseconds.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from . import factoring, network
@@ -42,12 +43,13 @@ class MachineParams:
     bytes_per_entry: int = 4
 
     def __post_init__(self):
-        numeric = (
-            self.alpha, self.c_st, self.c_b,
-            self.p_init, self.s_setup, self.b_buffer,
-        )
-        if any(x < 0 for x in numeric):
-            raise ValueError("machine times must be non-negative")
+        for key in ("alpha", "c_st", "c_b", "p_init", "s_setup", "b_buffer"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"machine key {key!r} must be a finite non-negative "
+                    f"time, got {value!r}"
+                )
         if self.n_a < 1 or self.n_a & (self.n_a - 1):
             raise ValueError(f"n_a must be a power of two, got {self.n_a}")
         if self.g_min < 0:

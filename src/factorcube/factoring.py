@@ -54,9 +54,6 @@ class EvalTree:
     nodes: tuple[EvalNode, ...]  # leaves first, products in creation order
     root: int
 
-    def card_map(self) -> dict[int, int]:
-        return dict(self.var_cards)
-
     def sum_out(self, i: int) -> tuple[int, ...]:
         """What product node i sums out: the variables its children hold
         and it does not keep, ascending."""
@@ -428,7 +425,7 @@ def tree_stats(tree: EvalTree) -> TreeStats:
     at a product of that dimension (largest such value if several products
     tie); md_all is the same maximum taken over every product.
     """
-    cards = tree.card_map()
+    cards = dict(tree.var_cards)
     shapes = []
     for node in tree.nodes:
         if node.is_leaf:
@@ -520,7 +517,6 @@ def evaluate_tree(
     `factors` is indexed by the leaves' factor numbers.  Refuses products
     whose union dimension exceeds `max_dim` variables.
     """
-    cards = tree.card_map()
     tables: dict[int, np.ndarray] = {}
     for idx, node in enumerate(tree.nodes):
         if not node.is_leaf:
@@ -536,20 +532,14 @@ def evaluate_tree(
             continue
         v1 = tree.nodes[node.left].scope
         v2 = tree.nodes[node.right].scope
-        union = tuple(sorted(set(v1) | set(v2)))
-        if len(union) > max_dim:
+        dim = len({*v1, *v2})
+        if dim > max_dim:
             raise DimensionCapError(
-                f"conformal product spans {len(union)} variables, "
+                f"conformal product spans {dim} variables, "
                 f"above the cap of {max_dim}"
             )
         table = _kernels.product_sum(
-            tables[node.left],
-            v1,
-            tables[node.right],
-            v2,
-            union,
-            tuple(cards[v] for v in union),
-            node.scope,
+            tables.pop(node.left), v1, tables.pop(node.right), v2, node.scope
         )
         # rescale by a power of two, which is exact, so that long chains of
         # small probabilities do not underflow; normalize cancels the scale.
@@ -559,12 +549,7 @@ def evaluate_tree(
         if exponent:
             np.ldexp(table, -exponent, out=table)
         tables[idx] = table
-        tables.pop(node.left)
-        tables.pop(node.right)
-    root = tree.nodes[tree.root]
-    out = Factor(
-        root.scope, tuple(cards[v] for v in root.scope), tables[tree.root]
-    )
+    out = Factor(tree.nodes[tree.root].scope, tables[tree.root])
     if out.vars != (tree.query_var,):
         out = marginalize_out(out, set(out.vars) - {tree.query_var})
     return normalize(out)

@@ -1,9 +1,12 @@
 """Dense discrete factor algebra.
 
 A factor is a non-negative table over an ordered set of discrete variables.
-Variables are kept sorted by id and the table is laid out in C order over
-their cardinalities, so the last variable varies fastest.  All operations
-return new factors; tables are marked read-only after construction.
+Variables are kept sorted by id and the table is an ndarray with one axis
+per variable, in that order, so a factor's cardinalities are its table's
+shape.  The table may be any strided view (a transposed CPT, a slice of
+one): every operation reads it through numpy's axis-aware calls and never
+copies it into a fixed layout.  All operations return new factors; tables
+are read-only.
 
 `brute_force_posterior` is a deliberately naive full-joint enumerator kept
 free of the factor operations above so it can serve as an independent
@@ -16,13 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, network
+from . import network
 
 DEFAULT_JOINT_CAP = 2 ** 24
-
-
-class CardinalityMismatchError(ValueError):
-    """Two factors disagree on the cardinality of a shared variable."""
 
 
 class InconsistentEvidenceError(ValueError):
@@ -35,61 +34,32 @@ class DimensionCapError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Factor:
-    """Dense table over `vars` (ascending ids), C order, last var fastest."""
+    """Dense table over `vars` (ascending ids), one axis per variable."""
 
     vars: tuple[int, ...]
-    cards: tuple[int, ...]
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.vars) != len(self.cards):
-            raise ValueError("vars and cards must have equal length")
         if any(a >= b for a, b in zip(self.vars, self.vars[1:])):
             raise ValueError(f"vars must be strictly ascending: {self.vars}")
-        if any(c < 1 for c in self.cards):
-            raise ValueError(f"cardinalities must be >= 1: {self.cards}")
-        table = np.ascontiguousarray(self.table, dtype=np.float64)
-        if table.ndim != 1 or table.size != self.size:
+        # a view, so that freezing it leaves the caller's array writeable
+        table = np.asarray(self.table, dtype=np.float64).view()
+        if table.ndim != len(self.vars):
             raise ValueError(
-                f"table has {table.size} entries, expected {self.size}"
+                f"table has {table.ndim} axes, expected one per variable "
+                f"of {self.vars}"
             )
+        if 0 in table.shape:
+            raise ValueError(f"cardinalities must be >= 1: {table.shape}")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     @property
-    def size(self) -> int:
-        return math.prod(self.cards)
-
-    def card_of(self, var: int) -> int:
-        return self.cards[self.vars.index(var)]
-
-    def shaped(self) -> np.ndarray:
-        """The table as an ndarray with one axis per variable."""
-        return self.table.reshape(self.cards) if self.vars else self.table
+    def cards(self) -> tuple[int, ...]:
+        return self.table.shape
 
     def mass(self) -> float:
         return float(self.table.sum())
-
-
-def _union_vars(f1: Factor, f2: Factor) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    cards: dict[int, int] = dict(zip(f1.vars, f1.cards))
-    for v, c in zip(f2.vars, f2.cards):
-        if cards.setdefault(v, c) != c:
-            raise CardinalityMismatchError(
-                f"variable {v} has cardinality {cards[v]} in one factor "
-                f"and {c} in the other"
-            )
-    vs = tuple(sorted(cards))
-    return vs, tuple(cards[v] for v in vs)
-
-
-def conformal_product(f1: Factor, f2: Factor) -> Factor:
-    """Pointwise product over the union of the two variable sets."""
-    union, cards = _union_vars(f1, f2)
-    table = _kernels.product_sum(
-        f1.table, f1.vars, f2.table, f2.vars, union, cards, union
-    )
-    return Factor(union, cards, table)
 
 
 def marginalize_out(f: Factor, drop) -> Factor:
@@ -100,13 +70,9 @@ def marginalize_out(f: Factor, drop) -> Factor:
         raise ValueError(f"cannot sum out variables not in factor: {sorted(extra)}")
     if not drop:
         return f
-    axes = tuple(i for i, v in enumerate(f.vars) if v in drop)
-    kept = tuple(i for i, v in enumerate(f.vars) if v not in drop)
-    out = f.shaped().sum(axis=axes)
     return Factor(
-        tuple(f.vars[i] for i in kept),
-        tuple(f.cards[i] for i in kept),
-        np.asarray(out).ravel(),
+        tuple(v for v in f.vars if v not in drop),
+        f.table.sum(axis=tuple(i for i, v in enumerate(f.vars) if v in drop)),
     )
 
 
@@ -118,20 +84,15 @@ def condition(f: Factor, evidence: dict[int, int]) -> Factor:
     hit = {v: evidence[v] for v in f.vars if v in evidence}
     if not hit:
         return f
-    for v, val in hit.items():
-        card = f.card_of(v)
-        if not 0 <= val < card:
+    for v, card in zip(f.vars, f.cards):
+        if v in hit and not 0 <= hit[v] < card:
             raise ValueError(
-                f"evidence value {val} out of range for variable {v} "
+                f"evidence value {hit[v]} out of range for variable {v} "
                 f"(cardinality {card})"
             )
-    index = tuple(hit[v] if v in hit else slice(None) for v in f.vars)
-    kept = [i for i, v in enumerate(f.vars) if v not in hit]
-    out = f.shaped()[index]
     return Factor(
-        tuple(f.vars[i] for i in kept),
-        tuple(f.cards[i] for i in kept),
-        np.asarray(out).ravel(),
+        tuple(v for v in f.vars if v not in hit),
+        f.table[tuple(hit.get(v, slice(None)) for v in f.vars)],
     )
 
 
@@ -140,7 +101,7 @@ def normalize(f: Factor) -> Factor:
     total = f.table.sum()
     if total <= 0.0:
         raise InconsistentEvidenceError("factor has zero total mass")
-    return Factor(f.vars, f.cards, f.table / total)
+    return Factor(f.vars, f.table / total)
 
 
 def cpt_factor(net, var: int) -> Factor:
@@ -148,21 +109,15 @@ def cpt_factor(net, var: int) -> Factor:
 
     Net CPTs are stored with parent assignments as rows (parents in the
     net's stored order, last parent fastest) and the child value fastest
-    within a row; the factor re-sorts those axes into ascending id order.
+    within a row; the factor is a view of it with those axes transposed
+    into ascending id order.
     """
-    parents = net.parents[var]
-    axis_vars = tuple(parents) + (var,)
-    axis_cards = tuple(net.variables[p].cardinality for p in parents) + (
-        net.variables[var].cardinality,
+    axis_vars = tuple(net.parents[var]) + (var,)
+    table = np.asarray(net.cpts[var], dtype=np.float64).reshape(
+        [net.variables[v].cardinality for v in axis_vars]
     )
-    table = np.asarray(net.cpts[var], dtype=np.float64).reshape(axis_cards)
-    order = sorted(range(len(axis_vars)), key=lambda i: axis_vars[i])
-    table = np.ascontiguousarray(np.transpose(table, order))
-    return Factor(
-        tuple(axis_vars[i] for i in order),
-        tuple(axis_cards[i] for i in order),
-        table.ravel(),
-    )
+    order = sorted(range(len(axis_vars)), key=axis_vars.__getitem__)
+    return Factor(tuple(axis_vars[i] for i in order), table.transpose(order))
 
 
 def query_factors(net, query) -> list[Factor]:
@@ -209,6 +164,4 @@ def brute_force_posterior(net, query, joint_cap: int = DEFAULT_JOINT_CAP) -> Fac
     total = sum(mass)
     if total <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
-    return Factor(
-        (query.query_var,), (qcard,), np.array(mass, dtype=np.float64) / total
-    )
+    return Factor((query.query_var,), np.array(mass, dtype=np.float64) / total)

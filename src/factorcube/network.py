@@ -91,6 +91,19 @@ class NetGenParams:
     obs_count_range: tuple[int, int] = (1, 20)
     seed: int = 0
 
+    def __post_init__(self):
+        # what no node count can satisfy; `random_net` checks the rest per draw
+        if not all(map(math.isfinite, self.avg_arcs_range)):
+            raise GenerationError(f"arcs range {self.avg_arcs_range} must be finite")
+        ranges = (self.node_count_range, self.avg_arcs_range, self.obs_count_range)
+        if any(lo > hi for lo, hi in ranges):
+            raise GenerationError(
+                f"empty range: nodes {self.node_count_range}, "
+                f"arcs {self.avg_arcs_range}, obs {self.obs_count_range}"
+            )
+        if self.node_count_range[0] < 1 or any(lo < 0 for lo, _ in ranges):
+            raise GenerationError("ranges must be non-negative (nodes >= 1)")
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -263,15 +276,6 @@ def random_net(params: NetGenParams) -> tuple[BeliefNet, QuerySpec]:
     n_lo, n_hi = params.node_count_range
     a_lo, a_hi = params.avg_arcs_range
     o_lo, o_hi = params.obs_count_range
-    if not all(map(math.isfinite, params.avg_arcs_range)):
-        raise GenerationError(f"arcs range {params.avg_arcs_range} must be finite")
-    if n_lo > n_hi or a_lo > a_hi or o_lo > o_hi:
-        raise GenerationError(
-            f"empty range: nodes {params.node_count_range}, "
-            f"arcs {params.avg_arcs_range}, obs {params.obs_count_range}"
-        )
-    if n_lo < 1 or a_lo < 0 or o_lo < 0:
-        raise GenerationError("ranges must be non-negative (nodes >= 1)")
     rng = np.random.default_rng(params.seed)
     n = int(rng.integers(n_lo, n_hi + 1))
 
@@ -351,7 +355,7 @@ def read_json(path):
     with fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise NetFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -31,8 +31,8 @@ def small_net(index: int, master: int = SMALL_MASTER):
 
 def enumerate_posterior(factors, query_var: int, cards: dict[int, int]):
     """Posterior over query_var from an explicit factor list, by walking
-    every assignment of the mentioned variables.  factors are (vars, table)
-    pairs or Factor objects; tables are C-ordered over ascending var ids."""
+    every assignment of the mentioned variables.  factors are Factor
+    objects, each table indexed by one value per variable of its vars."""
     pairs = [(tuple(f.vars), f.table) for f in factors]
     universe = sorted({v for vs, _ in pairs for v in vs} | {query_var})
     mass = [0.0] * cards[query_var]
@@ -40,10 +40,7 @@ def enumerate_posterior(factors, query_var: int, cards: dict[int, int]):
         at = dict(zip(universe, values))
         p = 1.0
         for vs, table in pairs:
-            idx = 0
-            for v in vs:
-                idx = idx * cards[v] + at[v]
-            p *= table[idx]
+            p *= table[tuple(at[v] for v in vs)]
         mass[at[query_var]] += p
     total = sum(mass)
     return [m / total for m in mass]

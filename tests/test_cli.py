@@ -306,6 +306,17 @@ def test_simulate_accepts_tree_files(tmp_path, capsys):
     assert "results (tree)" in out
 
 
+def test_input_that_is_not_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "noise.json"
+    path.write_bytes(np.random.default_rng(0).bytes(100))
+    with pytest.raises(UnicodeDecodeError):
+        path.read_text(encoding="utf-8")
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error: {path}: not valid JSON (")
+
+
 def test_simulate_rejects_unknown_format(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text('{"format": "mystery"}')
@@ -401,6 +412,23 @@ def test_simulate_checks_machine_values(tmp_path, capsys, text, code):
         assert str(machine) in err
 
 
+@pytest.mark.parametrize("text, key", [
+    pytest.param('{"alpha": 1e400}', "alpha", id="overflow-is-inf"),
+    pytest.param('{"c_b": Infinity}', "c_b", id="infinity"),
+    pytest.param('{"alpha": NaN}', "alpha", id="nan-alpha"),
+    pytest.param('{"c_st": NaN}', "c_st", id="nan-c_st"),
+])
+def test_simulate_rejects_non_finite_machine_times(tmp_path, capsys, text, key):
+    npath = tmp_path / "n.json"
+    write_two_node_net(npath)
+    machine = tmp_path / "m.json"
+    machine.write_text(text)
+    code, out, err = run(capsys, "simulate", str(npath), "--machine", str(machine))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: machine key {key!r} must be a finite")
+
+
 def test_simulate_malformed_machine_config(tmp_path, capsys):
     npath = tmp_path / "n.json"
     write_two_node_net(npath)
@@ -490,6 +518,26 @@ def test_experiment_records_partial_failures_and_continues(tmp_path, capsys):
     assert meta["net_count"] > 0  # the run kept going
 
 
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(("--nodes", "5..4"), "empty range", id="empty-range"),
+    pytest.param(("--arcs", "1..inf"), "must be finite", id="infinite-arcs"),
+    pytest.param(("--obs=-1..2",), "non-negative", id="negative-obs"),
+])
+def test_experiment_rejects_ranges_before_any_net(tmp_path, capsys, monkeypatch,
+                                                  flags, message):
+    def random_net(params):
+        raise AssertionError("a net was generated")
+
+    monkeypatch.setattr(network, "random_net", random_net)
+    out = tmp_path / "run"
+    code, stdout, err = run(capsys, "experiment", "--count", "2", *flags,
+                            "--out", str(out))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_experiment_count_validation(capsys):
     with pytest.raises(SystemExit) as err:
         main(["experiment", "--count", "0", "--out", "x"])
@@ -506,6 +554,10 @@ def test_experiment_config_validation():
         ExperimentConfig(heuristics=())
     with pytest.raises(ValueError):
         ExperimentConfig(heuristics=("alphabetical",))
+    with pytest.raises(network.GenerationError):
+        ExperimentConfig(node_count_range=(5, 4))
+    with pytest.raises(network.GenerationError):
+        ExperimentConfig(avg_arcs_range=(1.0, float("inf")))
 
 
 def test_run_experiment_library_entry(tmp_path):

@@ -299,7 +299,7 @@ def test_evaluate_chain_net_matches_oracle():
 
 
 def test_evaluate_single_leaf_normalizes_marginal():
-    f = fa.Factor((0, 1), (2, 2), np.array([1.0, 2.0, 3.0, 4.0]))
+    f = fa.Factor((0, 1), np.array([[1.0, 2.0], [3.0, 4.0]]))
     tree = build_set_factoring([(0, 1)], B2, 0)
     got = evaluate_tree(tree, [f])
     np.testing.assert_allclose(got.table, [0.3, 0.7])
@@ -334,7 +334,7 @@ def test_long_evidence_chain_does_not_underflow():
 def test_evaluate_respects_dimension_cap():
     tree = build_set_factoring([(0, 1), (1, 2), (2, 3)], B2, 0)
     factors = [
-        fa.Factor(s, (2,) * len(s), np.ones(2 ** len(s)))
+        fa.Factor(s, np.ones((2,) * len(s)))
         for s in [(0, 1), (1, 2), (2, 3)]
     ]
     with pytest.raises(DimensionCapError):
@@ -344,7 +344,7 @@ def test_evaluate_respects_dimension_cap():
 def test_evaluate_checks_leaf_scopes():
     tree = build_set_factoring([(0, 1)], B2, 0)
     with pytest.raises(ValueError):
-        evaluate_tree(tree, [fa.Factor((0,), (2,), np.ones(2))])
+        evaluate_tree(tree, [fa.Factor((0,), np.ones(2))])
 
 
 # -- stats -------------------------------------------------------------------

@@ -1,146 +1,209 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_posterior, small_net
+from factorcube import _kernels
 from factorcube import factors as fa
 from factorcube.factors import (
-    CardinalityMismatchError,
     DimensionCapError,
     Factor,
     InconsistentEvidenceError,
 )
 
 
-def f(vars_, cards, table):
-    return Factor(tuple(vars_), tuple(cards), np.asarray(table, dtype=float))
+def f(vars_, table):
+    return Factor(tuple(vars_), np.asarray(table, dtype=float))
 
 
-def assert_factor(got, vars_, cards, table, tol=0.0):
+def assert_factor(got, vars_, table, tol=0.0):
     assert got.vars == tuple(vars_)
-    assert got.cards == tuple(cards)
+    assert got.cards == np.shape(table)
     np.testing.assert_allclose(got.table, table, atol=tol, rtol=0)
+
+
+def product(f1, f2, keep=None):
+    """The conformal product of two factors, summed down to `keep`
+    (default: the whole union), through the evaluator's kernel."""
+    union = tuple(sorted({*f1.vars, *f2.vars}))
+    keep = union if keep is None else tuple(keep)
+    return Factor(keep, _kernels.product_sum(f1.table, f1.vars, f2.table, f2.vars, keep))
 
 
 # -- construction ------------------------------------------------------------
 
 def test_factor_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        f([0, 0], [2, 2], [1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        f([1, 0], [2, 2], [1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        f([0], [2], [1, 2, 3])
+    with pytest.raises(ValueError):  # repeated variable
+        f([0, 0], [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):  # descending
+        f([1, 0], [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):  # one axis for two variables
+        f([0, 1], [1, 2, 3, 4])
+    with pytest.raises(ValueError):  # two axes for one variable
+        f([0], [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):  # cardinality 0
+        f([0, 1], np.ones((2, 0)))
 
 
 def test_factor_table_is_read_only():
-    x = f([0], [2], [0.3, 0.7])
+    mine = np.array([0.3, 0.7])
+    x = Factor((0,), mine)
     with pytest.raises(ValueError):
         x.table[0] = 1.0
+    # the factor froze a view; the caller's array stays writeable
+    mine[0] = 0.5
+    assert x.table[0] == 0.5
+    assert x.cards == (2,)
 
 
 # -- conformal product -------------------------------------------------------
 
 def test_product_same_variable_is_pointwise():
-    got = fa.conformal_product(f([0], [2], [0.3, 0.7]), f([0], [2], [0.5, 0.5]))
-    assert_factor(got, [0], [2], [0.15, 0.35])
+    got = product(f([0], [0.3, 0.7]), f([0], [0.5, 0.5]))
+    assert_factor(got, [0], [0.15, 0.35])
 
 
 def test_product_disjoint_is_outer_last_var_fastest():
-    got = fa.conformal_product(f([0], [2], [1, 2]), f([1], [2], [3, 4]))
-    assert_factor(got, [0, 1], [2, 2], [3, 4, 6, 8])
+    got = product(f([0], [1, 2]), f([1], [3, 4]))
+    assert_factor(got, [0, 1], [[3, 4], [6, 8]])
 
 
 def test_product_overlapping_matches_enumeration():
     rng = np.random.default_rng(3)
-    f1 = f([0, 1], [2, 2], rng.random(4))
-    f2 = f([1, 2], [2, 2], rng.random(4))
-    got = fa.conformal_product(f1, f2)
+    f1 = f([0, 1], rng.random((2, 2)))
+    f2 = f([1, 2], rng.random((2, 2)))
+    got = product(f1, f2)
     # direct walk over all (a, b, c)
-    want = np.zeros(8)
+    want = np.zeros((2, 2, 2))
     for a in range(2):
         for b in range(2):
             for c in range(2):
-                want[a * 4 + b * 2 + c] = f1.table[a * 2 + b] * f2.table[b * 2 + c]
-    assert_factor(got, [0, 1, 2], [2, 2, 2], want)
+                want[a, b, c] = f1.table[a, b] * f2.table[b, c]
+    assert_factor(got, [0, 1, 2], want)
 
 
 def test_product_cardinality_mismatch():
-    with pytest.raises(CardinalityMismatchError):
-        fa.conformal_product(f([0], [2], [1, 1]), f([0], [3], [1, 1, 1]))
+    with pytest.raises(ValueError):
+        product(f([0], [1, 1]), f([0], [1, 1, 1]))
+
+
+def test_product_reads_strided_views():
+    # a transposed CPT view and a condition slice of one, as query_factors
+    # hands them to the evaluator, against the same tables made contiguous
+    from factorcube import network
+
+    net = network.BeliefNet(
+        (network.Variable(0, "A", 2), network.Variable(1, "B", 3),
+         network.Variable(2, "C", 2)),
+        ((1,), (), (1, 0)),
+        (np.arange(1.0, 7.0), np.array([0.2, 0.3, 0.5]), np.arange(1.0, 13.0)),
+    )
+    cpt = fa.cpt_factor(net, 0)  # vars (0, 1), stored with B as rows
+    sliced = fa.condition(fa.cpt_factor(net, 2), {0: 1})  # vars (1, 2)
+    assert not cpt.table.flags.c_contiguous
+    assert not sliced.table.flags.c_contiguous
+    assert np.shares_memory(cpt.table, net.cpts[0])
+    assert np.shares_memory(sliced.table, net.cpts[2])
+    dense = [f(x.vars, np.ascontiguousarray(x.table)) for x in (cpt, sliced)]
+    for keep in ((0, 1, 2), (0, 2), ()):
+        got = product(cpt, sliced, keep)
+        want = product(*dense, keep)
+        assert got.vars == want.vars
+        np.testing.assert_array_equal(got.table, want.table)
+    assert_factor(product(cpt, sliced, (0,)), [0], [
+        sum(net.cpts[0][b * 2 + a] * net.cpts[2][(b * 2 + 1) * 2 + c]
+            for b in range(3) for c in range(2))
+        for a in range(2)
+    ], tol=1e-12)
+
+
+def test_product_down_to_no_variables_is_a_fresh_array():
+    f1 = f([0, 1], [[1, 2], [3, 4]])
+    f2 = f([1], [10, 100])
+    got = _kernels.product_sum(f1.table, f1.vars, f2.table, f2.vars, ())
+    assert isinstance(got, np.ndarray) and got.shape == ()
+    assert got == 1 * 10 + 2 * 100 + 3 * 10 + 4 * 100
+    # evaluate_tree rescales the kernel's result in place
+    assert got.flags.writeable
+    assert not np.shares_memory(got, f1.table)
+    assert not np.shares_memory(got, f2.table)
 
 
 # -- marginalization ---------------------------------------------------------
 
 def test_marginalize_row_sums():
-    got = fa.marginalize_out(f([0, 1], [2, 2], [1, 2, 3, 4]), {1})
-    assert_factor(got, [0], [2], [3, 7])
+    got = fa.marginalize_out(f([0, 1], [[1, 2], [3, 4]]), {1})
+    assert_factor(got, [0], [3, 7])
 
 
 def test_marginalize_nothing_is_identity():
-    x = f([0, 1], [2, 2], [1, 2, 3, 4])
+    x = f([0, 1], [[1, 2], [3, 4]])
     assert fa.marginalize_out(x, set()) is x
 
 
 def test_marginalize_everything_keeps_mass():
-    got = fa.marginalize_out(f([0, 1], [2, 2], [1, 2, 3, 4]), {0, 1})
+    got = fa.marginalize_out(f([0, 1], [[1, 2], [3, 4]]), {0, 1})
     assert got.vars == ()
-    assert got.table.tolist() == [10.0]
+    assert got.cards == ()
+    assert got.table.tolist() == 10.0
 
 
 def test_marginalize_matches_enumeration():
     rng = np.random.default_rng(5)
-    x = f([0, 1, 2, 3], [2, 2, 2, 2], rng.random(16))
+    x = f([0, 1, 2, 3], rng.random((2, 2, 2, 2)))
     got = fa.marginalize_out(x, {1, 3})
-    want = np.zeros(4)
-    for i in range(16):
-        a, b, c, d = (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
-        want[a * 2 + c] += x.table[i]
-    assert_factor(got, [0, 2], [2, 2], want, tol=1e-15)
+    want = np.zeros((2, 2))
+    for a, b, c, d in itertools.product(range(2), repeat=4):
+        want[a, c] += x.table[a, b, c, d]
+    assert_factor(got, [0, 2], want, tol=1e-15)
 
 
 def test_marginalize_unknown_variable_rejected():
     with pytest.raises(ValueError):
-        fa.marginalize_out(f([0], [2], [1, 1]), {5})
+        fa.marginalize_out(f([0], [1, 1]), {5})
 
 
 # -- conditioning ------------------------------------------------------------
 
 def test_condition_slices():
-    got = fa.condition(f([0, 1], [2, 2], [1, 2, 3, 4]), {1: 0})
-    assert_factor(got, [0], [2], [1, 3])
+    got = fa.condition(f([0, 1], [[1, 2], [3, 4]]), {1: 0})
+    assert_factor(got, [0], [1, 3])
 
 
 def test_condition_ignores_absent_variables():
-    x = f([0, 1], [2, 2], [1, 2, 3, 4])
+    x = f([0, 1], [[1, 2], [3, 4]])
     assert fa.condition(x, {7: 1}) is x
 
 
 def test_condition_matches_enumeration():
     rng = np.random.default_rng(7)
-    x = f([0, 1, 2], [2, 2, 2], rng.random(8))
+    x = f([0, 1, 2], rng.random((2, 2, 2)))
     got = fa.condition(x, {0: 1, 2: 0})
-    want = [x.table[1 * 4 + b * 2 + 0] for b in range(2)]
-    assert_factor(got, [1], [2], want)
+    want = [x.table[1, b, 0] for b in range(2)]
+    assert_factor(got, [1], want)
 
 
 def test_condition_value_out_of_range():
     with pytest.raises(ValueError):
-        fa.condition(f([0], [2], [1, 1]), {0: 2})
+        fa.condition(f([0], [1, 1]), {0: 2})
+    with pytest.raises(ValueError):  # never a numpy index from the end
+        fa.condition(f([0], [1, 1]), {0: -1})
 
 
 # -- normalization -----------------------------------------------------------
 
 def test_normalize_examples():
-    assert_factor(fa.normalize(f([0], [2], [2, 2])), [0], [2], [0.5, 0.5])
-    got = fa.normalize(f([0], [2], [0.15, 0.35]))
-    assert_factor(got, [0], [2], [0.3, 0.7], tol=1e-15)
+    assert_factor(fa.normalize(f([0], [2, 2])), [0], [0.5, 0.5])
+    got = fa.normalize(f([0], [0.15, 0.35]))
+    assert_factor(got, [0], [0.3, 0.7], tol=1e-15)
 
 
 def test_normalize_zero_mass_is_inconsistent_evidence():
     with pytest.raises(InconsistentEvidenceError):
-        fa.normalize(f([0], [2], [0.0, 0.0]))
+        fa.normalize(f([0], [0.0, 0.0]))
 
 
 # -- brute-force posterior ---------------------------------------------------
@@ -162,7 +225,7 @@ def test_brute_force_single_node_prior():
         (network.Variable(0, "A", 2),), ((),), (np.array([0.3, 0.7]),)
     )
     got = fa.brute_force_posterior(net, network.QuerySpec(0))
-    assert_factor(got, [0], [2], [0.3, 0.7], tol=1e-15)
+    assert_factor(got, [0], [0.3, 0.7], tol=1e-15)
 
 
 def test_brute_force_two_node_bayes():
@@ -200,7 +263,7 @@ def test_cpt_factor_sorts_axes():
     )
     got = fa.cpt_factor(net, 0)
     # vars (0, 2): entry (a, c) = P(A=a | C=c)
-    assert_factor(got, [0, 2], [2, 2], [0.9, 0.2, 0.1, 0.8])
+    assert_factor(got, [0, 2], [[0.9, 0.2], [0.1, 0.8]])
 
 
 # -- algebraic properties ----------------------------------------------------
@@ -208,10 +271,9 @@ def test_cpt_factor_sorts_axes():
 def factor_strategy(var_pool=(0, 1, 2, 3, 4)):
     def build(draw_vars, values):
         vs = tuple(sorted(draw_vars))
-        cards = tuple(2 for _ in vs)
         size = 2 ** len(vs)
         table = np.asarray((values * size)[:size]) + 0.01
-        return Factor(vs, cards, table)
+        return Factor(vs, table.reshape((2,) * len(vs)))
 
     return st.builds(
         build,
@@ -223,8 +285,8 @@ def factor_strategy(var_pool=(0, 1, 2, 3, 4)):
 @settings(max_examples=60, deadline=None)
 @given(factor_strategy(), factor_strategy())
 def test_product_commutes(f1, f2):
-    a = fa.conformal_product(f1, f2)
-    b = fa.conformal_product(f2, f1)
+    a = product(f1, f2)
+    b = product(f2, f1)
     assert a.vars == b.vars
     np.testing.assert_allclose(a.table, b.table, rtol=1e-12)
 
@@ -232,8 +294,8 @@ def test_product_commutes(f1, f2):
 @settings(max_examples=60, deadline=None)
 @given(factor_strategy(), factor_strategy(), factor_strategy())
 def test_product_associates(f1, f2, f3):
-    a = fa.conformal_product(fa.conformal_product(f1, f2), f3)
-    b = fa.conformal_product(f1, fa.conformal_product(f2, f3))
+    a = product(product(f1, f2), f3)
+    b = product(f1, product(f2, f3))
     assert a.vars == b.vars
     np.testing.assert_allclose(a.table, b.table, rtol=1e-12)
 
@@ -241,7 +303,7 @@ def test_product_associates(f1, f2, f3):
 @settings(max_examples=60, deadline=None)
 @given(factor_strategy(var_pool=(0, 1)), factor_strategy(var_pool=(5, 6)))
 def test_mass_multiplies_when_disjoint(f1, f2):
-    got = fa.conformal_product(f1, f2).mass()
+    got = product(f1, f2).mass()
     assert got == pytest.approx(f1.mass() * f2.mass(), rel=1e-12)
 
 
@@ -249,10 +311,12 @@ def test_mass_multiplies_when_disjoint(f1, f2):
 @given(factor_strategy(var_pool=(0, 1)), factor_strategy(var_pool=(2, 3, 4)))
 def test_sum_product_exchange(f1, f2):
     drop = set(f2.vars[:1])
-    a = fa.marginalize_out(fa.conformal_product(f1, f2), drop)
-    b = fa.conformal_product(f1, fa.marginalize_out(f2, drop))
+    a = fa.marginalize_out(product(f1, f2), drop)
+    b = product(f1, fa.marginalize_out(f2, drop))
+    fused = product(f1, f2, a.vars)  # the kernel sums while it multiplies
     assert a.vars == b.vars
     np.testing.assert_allclose(a.table, b.table, rtol=1e-12)
+    np.testing.assert_allclose(fused.table, a.table, rtol=1e-12)
 
 
 def test_enumeration_oracle_agrees_with_brute_force():

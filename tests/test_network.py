@@ -128,6 +128,11 @@ def test_random_net_infeasible_ranges():
     for arcs in ((1.0, math.inf), (math.nan, 2.0)):
         with pytest.raises(GenerationError, match=rf"arcs range \({arcs[0]}, "):
             network.random_net(NetGenParams((4, 4), arcs, (1, 1), 0))
+    # ranges no node count can meet are refused before any draw
+    for ranges in (((0, 3), (1, 1), (0, 0)), ((3, 3), (-1, 1), (0, 0)),
+                   ((3, 3), (1, 1), (-1, 0)), ((3, 3), (2, 1), (0, 0))):
+        with pytest.raises(GenerationError):
+            NetGenParams(*ranges)
 
 
 # -- relevance pruning -------------------------------------------------------
