@@ -4,8 +4,8 @@ Every command is a pure function of its flags and seeds; experiment runs
 derive one seed per net from the master seed with a splitmix64 mix, so a
 rerun with the same flags reproduces every output byte.
 
-Exit codes: 0 ok, 2 usage, 3 parse error, 4 validation failure (including
-evidence of probability zero), 5 size cap.
+Exit codes: 0 ok, 1 internal error, 2 usage, 3 parse error, 4 validation
+failure (including evidence of probability zero), 5 size cap.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from . import __version__, costmodel, factoring, metrics, network
 from .factors import DimensionCapError, InconsistentEvidenceError, brute_force_posterior
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_VALIDATION = 4
@@ -384,6 +385,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "count", 1) < 1:
         parser.error("--count must be at least 1")
+    if getattr(args, "max_dim", 1) < 1:
+        parser.error("--max-dim must be at least 1")
     try:
         return args.fn(args)
     except network.GenerationError as exc:
@@ -405,6 +408,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not of its input
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -13,8 +13,8 @@ run time of the candidate product.  `build_chain_baseline` is the
 worst-case comparator that just folds factors left to right.
 """
 
+import bisect
 import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -217,6 +217,7 @@ class _BuildState:
         self.card_groups = sorted(groups.items())
         self.sizes = [self.size(mask) for mask in self.masks]
         self.reduced = [self.size(mask & ~self.held_once) for mask in self.masks]
+        self.class_ids: dict[tuple, int] = {}
 
     def _recount(self, col: int) -> None:
         bit = 1 << col
@@ -227,6 +228,16 @@ class _BuildState:
                 self.held_once |= bit
             elif self.count[col] == 2:
                 self.held_twice |= bit
+
+    def node_class(self, x: int) -> int:
+        """Class of active node x, as a small integer: its table size and
+        the cardinalities, in column order, of the variables it keeps in a
+        product with a node it shares no variable with.  Every key of a
+        pair that shares no variable, exact or bound, depends only on the
+        classes of its lower and its higher node."""
+        kept = self.masks[x] & ~self.held_once
+        key = (self.sizes[x], tuple(self.col_cards[col] for col in _bits(kept)))
+        return self.class_ids.setdefault(key, len(self.class_ids))
 
     def size(self, mask: int) -> int:
         """Joint cardinality of the variables in mask."""
@@ -256,18 +267,19 @@ class _BuildState:
         union = mask_a | mask_b
         return self.size(union), self.size(union & ~self._dead(mask_a, mask_b))
 
-    def work_entry(self, a: int, b: int):
+    def work_entry(self, a: int, b: int, cls_pair):
         """Heap entry of the pair a < b keyed on work, always exact."""
         m, rsize = self.work_key(a, b)
-        return m, rsize, a, b, True
+        return m, rsize, a, b, True, cls_pair
 
-    def time_entry(self, a: int, b: int, machine):
+    def time_entry(self, a: int, b: int, cls_pair, machine):
         """Heap entry of the pair a < b keyed on a lower bound of its
         modeled time: `bca_time` with nothing distributed (b_d = 0), which
         never exceeds the exact t_p and equals it on one processor."""
         m, rsize = self.work_key(a, b)
         n_u = costmodel.processor_count(m, rsize, machine)
-        return costmodel.bca_time(m, rsize, n_u, 0, machine)[3], rsize, a, b, n_u == 1
+        bound = costmodel.bca_time(m, rsize, n_u, 0, machine)[3]
+        return bound, rsize, a, b, n_u == 1, cls_pair
 
     def time_key(self, a: int, b: int, machine) -> tuple[float, int]:
         """(modeled parallel time, result size) of the product of nodes a
@@ -328,47 +340,140 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
     """Combine the active pair with the least (key, result size, lower id,
     higher id) until one node remains.
 
-    `entry(a, b)` gives the heap entry (bound, result size, a, b, exact) of
-    a pair a < b, where bound is at most the pair's key and equals it when
-    exact is true; `exact_key(a, b)` gives the (key, result size) of a pair
-    whose entry is not exact.  The heap holds one entry per live pair.  An
-    inexact entry on top is replaced by its exact one; an exact entry on
-    top is the least live pair, since every other live pair's key is at
-    least its entry.  Only the top pairs are ever keyed exactly.
+    `entry(a, b, cls_pair)` gives the heap entry (bound, result size, a, b,
+    exact, cls_pair) of a pair a < b, where bound is at most the pair's key
+    and equals it when exact is true; `exact_key(a, b)` gives the (key,
+    result size) of a pair whose entry is not exact.  An inexact entry on
+    top is replaced by its exact one; an exact entry on top that names a
+    live pair is the least live pair, since every other live pair's key is
+    at least some entry's.  Only the top pairs are ever keyed exactly.
 
-    The active list stays sorted by node id, so the id tie-break is the
-    row-major pair order of a full rescan.  A pair's key depends only on
-    its two scopes and on the holder counts of their variables.  A combine
-    lowers only the counts of variables held by both inputs and kept by
-    the product, and each of those stays held by the product; so a pair of
-    two older nodes keeps its entry, and only pairs with the new product
-    need one.  For the same reason a node's `sizes` and `reduced` stay
-    fixed while it is active: its mask does not change, and a variable it
-    shares with both inputs of a combine goes from at least three holders
-    to at least two, so it is held once neither before nor after.
+    A pair's key depends only on its two scopes and on the holder counts of
+    their variables.  A combine lowers only the counts of variables held by
+    both inputs and kept by the product, and each of those stays held by
+    the product; so a pair of two older nodes keeps its key, and only pairs
+    with the new product need an entry.  For the same reason a node's size
+    and class stay fixed while it is active: its mask does not change, and
+    a variable it shares with both inputs of a combine goes from at least
+    three holders to at least two, so it is held once neither before nor
+    after.
 
-    Entries of combined nodes are skipped when they surface.  Once they
-    outnumber the live ones, that is, once the heap holds more than
-    n(n - 1) entries for n active nodes, they are filtered out and the
-    rest heapified, which costs O(1) per dropped entry.
+    Invariant: the heap holds an entry for every live pair that shares a
+    variable (cls_pair None).  For every ordered class pair (C1, C2) that
+    has a live pair a < b sharing no variable, with a in C1 and b in C2,
+    it holds one current entry.  All such pairs have the same key, so that
+    entry carries the key, or its bound, and names a pair no higher in
+    (a, b) order than the lowest live one.  So every live pair's key is at
+    least some entry's.  The class pairs keep the order of their nodes'
+    ids because the exact time key depends on which input comes first.
+
+    A class pair's lowest live pair only rises as nodes die.  The pairs a
+    new product brings have the highest higher id, so for each class pair
+    only the one with the lowest lower id can undercut the current entry.
+    A current entry that surfaces naming a dead node moves to the lowest
+    live pair after its own, found by walking the two classes' members; a
+    superseded entry is dropped when it surfaces.
+
+    Dropped entries pile up in the heap.  Once it holds more than n(n - 1)
+    entries for n active nodes, only live sharing entries and current
+    class entries are kept and the heap is rebuilt, which costs O(1) per
+    dropped entry.
     """
-    heap = [entry(a, b) for a, b in itertools.combinations(state.active, 2)]
-    heapq.heapify(heap)
+    masks = state.masks
     alive = state.alive
     active = state.active
+    classes: list[int] = []  # per node id; nodes enter in id order
+    heap = []
+    current = {}  # class pair -> its current entry
+    members: dict[int, list[int]] = {}  # class -> its active node ids, ascending
+
+    def lowest_after(cls_pair, a0, b0):
+        """The lowest disjoint pair (a, b) above (a0, b0), a < b, with a in
+        the first class and b in the second, or None."""
+        firsts = members.get(cls_pair[0], ())
+        seconds = members.get(cls_pair[1], ())
+        for i in range(bisect.bisect_left(firsts, a0), len(firsts)):
+            a = firsts[i]
+            mask_a = masks[a]
+            for j in range(bisect.bisect_right(seconds, b0 if a == a0 else a),
+                           len(seconds)):
+                if not mask_a & masks[seconds[j]]:
+                    return a, seconds[j]
+        return None
+
+    def advance(e) -> None:
+        """Move the current entry e, which names a dead node, to its class
+        pair's lowest live pair under the same key, or drop the class pair
+        when it has none."""
+        cls_pair = e[5]
+        pair = lowest_after(cls_pair, e[2], e[3])
+        if pair is None:
+            del current[cls_pair]
+        else:
+            current[cls_pair] = e = (e[0], e[1], *pair, e[4], cls_pair)
+            heapq.heappush(heap, e)
+
+    def enter(n: int) -> None:
+        """Enter the pairs of node n with every active node below it."""
+        mask_n = masks[n]
+        cls_n = state.node_class(n)
+        classes.append(cls_n)
+        for x in active:
+            if x == n:
+                break
+            if masks[x] & mask_n:
+                heapq.heappush(heap, entry(x, n, None))
+        for cls, xs in members.items():
+            for x in xs:
+                if masks[x] & mask_n:
+                    continue
+                cls_pair = (cls, cls_n)
+                cur = current.get(cls_pair)
+                if cur is None:
+                    e = entry(x, n, cls_pair)
+                elif x < cur[2]:
+                    e = (cur[0], cur[1], x, n, cur[4], cls_pair)
+                else:
+                    break
+                current[cls_pair] = e
+                heapq.heappush(heap, e)
+                break
+        members.setdefault(cls_n, []).append(n)
+
+    for n in active:
+        enter(n)
     while len(active) > 1:
-        _, _, a, b, exact = heapq.heappop(heap)
-        if not (alive[a] and alive[b]):
+        e = heapq.heappop(heap)
+        _, _, a, b, exact, cls_pair = e
+        if cls_pair is None:
+            if not (alive[a] and alive[b]):
+                continue
+        elif current.get(cls_pair) is not e:
+            continue
+        elif not (alive[a] and alive[b]):
+            advance(e)
             continue
         if not exact:
-            heapq.heappush(heap, (*exact_key(a, b), a, b, True))
+            e = (*exact_key(a, b), a, b, True, cls_pair)
+            if cls_pair is not None:
+                current[cls_pair] = e
+            heapq.heappush(heap, e)
             continue
-        new_id = state.combine(a, b)
-        for x in active[:-1]:
-            heapq.heappush(heap, entry(x, new_id))
+        for x in (a, b):
+            xs = members[classes[x]]
+            xs.remove(x)
+            if not xs:
+                del members[classes[x]]
+        enter(state.combine(a, b))
+        if cls_pair is not None and current[cls_pair] is e:
+            advance(e)
         n = len(active)
         if len(heap) > n * (n - 1):
-            heap = [e for e in heap if alive[e[2]] and alive[e[3]]]
+            heap = [
+                e for e in heap
+                if (alive[e[2]] and alive[e[3]] if e[5] is None
+                    else current.get(e[5]) is e)
+            ]
             heapq.heapify(heap)
     return state.finish()
 
@@ -389,7 +494,7 @@ def build_set_factoring_c(scopes, cards, query_var, machine) -> EvalTree:
     state = _BuildState(scopes, cards, query_var)
     return _greedy(
         state,
-        lambda a, b: state.time_entry(a, b, machine),
+        lambda a, b, cls_pair: state.time_entry(a, b, cls_pair, machine),
         lambda a, b: state.time_key(a, b, machine),
     )
 

@@ -7,7 +7,8 @@ import pytest
 
 from factorcube import cli, factoring, network
 from factorcube.cli import (
-    EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main,
+    EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION,
+    main,
 )
 
 
@@ -189,6 +190,29 @@ def test_query_dimension_cap_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "query", str(path), "--max-dim", "1")
     assert code == EXIT_CAP
     assert "cap" in err
+
+
+@pytest.mark.parametrize("max_dim", ["0", "-1"])
+def test_query_rejects_max_dim_below_one(tmp_path, capsys, max_dim):
+    path = tmp_path / "n.json"
+    write_two_node_net(path)
+    with pytest.raises(SystemExit) as err:
+        main(["query", str(path), "--max-dim", max_dim])
+    assert err.value.code == EXIT_USAGE
+    assert "--max-dim must be at least 1" in capsys.readouterr().err
+
+
+def test_unmapped_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def cmd_query(args):
+        raise RuntimeError("lost\ntrack")
+
+    monkeypatch.setattr(cli, "cmd_query", cmd_query)
+    path = tmp_path / "n.json"
+    write_two_node_net(path)
+    code, out, err = run(capsys, "query", str(path))
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal: RuntimeError: lost track\n"
 
 
 # -- plan ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_instance, small_net
@@ -168,32 +169,86 @@ def rescan_best_pair(state, machine):
     return best[1]
 
 
-@settings(max_examples=150, deadline=None)
+RESCAN_INSTANCES = st.one_of(
+    # up to 24 scopes let dead heap entries outnumber live ones
+    st.tuples(
+        st.lists(st.sets(st.integers(0, 9), max_size=5), min_size=2, max_size=24),
+        st.just([2] * 10) | st.lists(st.integers(2, 5), min_size=10, max_size=10),
+    ),
+    # many scopes of at most two variables over cardinalities 2 and 3 put
+    # several nodes in each class, so class-pair walks skip pairs that share
+    # a variable, and class entries surface superseded or naming dead nodes
+    st.tuples(
+        st.lists(st.sets(st.integers(0, 9), max_size=2), min_size=8, max_size=32),
+        st.lists(st.sampled_from((2, 3)), min_size=10, max_size=10),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.sets(st.integers(0, 9), max_size=5), min_size=2, max_size=24),
+    RESCAN_INSTANCES,
     st.integers(0, 9),
-    st.lists(st.integers(2, 5), min_size=10, max_size=10),
-    st.booleans(),
     st.sampled_from((None,) + RESCAN_MACHINES),
 )
-def test_builder_matches_full_rescan_at_every_step(scope_sets, query, card_list,
-                                                   binary, machine):
-    # empty scopes make pairs that share no variable and keys that all tie;
-    # up to 24 scopes let dead heap entries outnumber live ones
+# nodes 1-3 form one class; the first product, node 5 over variables 1
+# and 6, shares variable 6 with node 1 but none with node 2, its best partner
+@example(([{1, 6}, {6, 7}, {0, 3}, {2, 3}, set()], [3, 2, 3, 2, 2, 2, 2, 3, 2, 2]),
+         1, RESCAN_MACHINES[2])
+def test_builder_matches_full_rescan_at_every_step(instance, query, machine):
+    # empty scopes make pairs that share no variable and keys that all tie
+    scope_sets, card_list = instance
     scopes = [tuple(sorted(s | ({query} if i == 0 else set())))
               for i, s in enumerate(scope_sets)]
-    cards = {v: 2 if binary else c for v, c in enumerate(card_list)}
+    cards = dict(enumerate(card_list))
     if machine is None:
         tree = build_set_factoring(scopes, cards, query)
     else:
         tree = build_set_factoring_c(scopes, cards, query, machine)
     state = factoring._BuildState(scopes, cards, query)
+    classes = {x: state.node_class(x) for x in state.active}
     for node in tree.nodes[len(scopes):]:
         assert (node.left, node.right) == rescan_best_pair(state, machine)
-        state.combine(node.left, node.right)
+        new_id = state.combine(node.left, node.right)
+        classes[new_id] = state.node_class(new_id)
         for x in state.active:
             assert state.reduced[x] == state.size(state.masks[x] & ~state.held_once)
+            assert state.node_class(x) == classes[x]
     assert tuple(state.nodes) == tree.nodes
+
+
+def test_class_pairs_are_ordered():
+    # Nodes 0 and 2 keep a binary then a ternary variable, node 1 keeps one
+    # ternary variable; all three have 12 entries and share no variable.
+    # With equal slices choose_split takes the first input's first kept
+    # variable: 18 entries are sent for (0, 1), 16 for (1, 2).  So (1, 2)
+    # is cheaper, though (0, 1) has the lower ids and the same classes in
+    # the other order.  Node 3 holds every kept variable and the query.
+    scopes = [(1, 2, 3), (4, 5), (6, 7, 8), (0, 1, 2, 4, 6, 7)]
+    cards = {0: 2, 1: 2, 2: 3, 3: 2, 4: 3, 5: 4, 6: 2, 7: 3, 8: 2}
+    machine = costmodel.MachineParams(n_a=2, g_min=1)
+    state = factoring._BuildState(scopes, cards, 0)
+    assert state.node_class(0) == state.node_class(2) != state.node_class(1)
+    assert state.time_key(1, 2, machine) < state.time_key(0, 1, machine)
+    tree = build_set_factoring_c(scopes, cards, 0, machine)
+    assert (first_product(tree).left, first_product(tree).right) == (1, 2)
+
+
+@pytest.mark.parametrize("heuristic", ["set-factoring", "set-factoring-c"])
+def test_heap_grows_with_classes_not_pairs(heuristic):
+    # 400 factors that share no variable fall into two classes, so the heap
+    # holds a few entries, not one per pair: 79,800 entries would take
+    # about 7 MiB
+    k = 400
+    scopes = [(0,)] + [()] * (k - 1)
+    tracemalloc.start()
+    try:
+        tree = factoring.build_tree(heuristic, scopes, {0: 2}, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.cp_count == k - 1
+    assert peak < 1 << 20
 
 
 @settings(max_examples=200, deadline=None)

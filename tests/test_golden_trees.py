@@ -6,6 +6,8 @@ every tree built for three corpora:
 protocol   the first 50 protocol nets at master seed 31337, every heuristic;
 large      the first 400-node net with 240-255 relevant factors of the
            benchmark's `large` corpus stream, every heuristic;
+k653       a 1200-node net of the same generator settings with 653
+           relevant factors, every heuristic;
 nonbinary  60 seeded random instances with cardinalities 2-5, keyed on
            work and on modeled time under two machines.
 
@@ -27,6 +29,9 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_trees.json"
 PROTOCOL_MASTER = 31337
 LARGE_PARAMS = network.NetGenParams(
     (400, 400), (3.5, 5.0), (30, 50), seed=9527278904628312433
+)
+K653_PARAMS = network.NetGenParams(
+    (1200, 1200), (3.5, 5.0), (30, 50), seed=net_seed(650, 120001)
 )
 MACHINES = {
     "default": costmodel.DEFAULT_MACHINE,
@@ -58,6 +63,11 @@ def protocol_cases():
 def large_cases():
     net, query = network.random_net(LARGE_PARAMS)
     yield from _net_cases("large", net, query)
+
+
+def k653_cases():
+    net, query = network.random_net(K653_PARAMS)
+    yield from _net_cases("k653", net, query)
 
 
 def nonbinary_instance(seed: int):
@@ -108,6 +118,10 @@ def test_large_trees_match_golden():
     _check(large_cases())
 
 
+def test_k653_trees_match_golden():
+    _check(k653_cases())
+
+
 def test_nonbinary_trees_match_golden():
     _check(nonbinary_cases())
 
@@ -134,7 +148,7 @@ def test_set_factoring_c_keys_few_pairs_exactly(monkeypatch):
 
 if __name__ == "__main__":
     digests = {}
-    for cases in (protocol_cases(), large_cases(), nonbinary_cases()):
+    for cases in (protocol_cases(), large_cases(), k653_cases(), nonbinary_cases()):
         for case_id, build in cases:
             digests[case_id] = tree_digest(build())
     GOLDEN.parent.mkdir(exist_ok=True)
