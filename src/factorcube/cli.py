@@ -148,6 +148,14 @@ def _load_net_or_tree(path):
     raise network.NetFormatError(f"{path}: unrecognized format {kind!r}")
 
 
+def _check_distinct(heuristics) -> None:
+    """ValueError if a heuristic is listed more than once: each would
+    write its rows again."""
+    repeated = sorted({h for h in heuristics if heuristics.count(h) > 1})
+    if repeated:
+        raise ValueError(f"heuristic listed more than once: {', '.join(repeated)}")
+
+
 def _rows_for_net(net, query, heuristics, machine, net_index):
     scopes, cards, _ = factoring.scopes_for_query(net, query)
     trees = {
@@ -180,6 +188,7 @@ class ExperimentConfig:
         unknown = set(self.heuristics) - set(factoring.HEURISTICS)
         if unknown:
             raise ValueError(f"unknown heuristics: {sorted(unknown)}")
+        _check_distinct(self.heuristics)
         self.net_params(0)  # GenerationError for ranges no net can meet
 
     def net_params(self, seed: int) -> network.NetGenParams:
@@ -238,11 +247,12 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    heuristics = args.heuristic or list(factoring.HEURISTICS)
+    _check_distinct(heuristics)
     machine = _machine_from_args(args)
     kind, loaded = _load_net_or_tree(args.input)
     if kind == "net":
         net, query = loaded
-        heuristics = args.heuristic or list(factoring.HEURISTICS)
         rows = _rows_for_net(net, query, heuristics, machine, 1)
     else:
         tree = loaded

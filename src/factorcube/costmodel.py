@@ -154,7 +154,8 @@ def choose_split(shared, only1, only2, cards, size1: int, size2: int, n_u: int):
 
     shared/only1/only2 iterate the result variables held by both inputs,
     by the first only and by the second only, each in ascending order;
-    cards maps a variable to its cardinality.  Shared variables come first
+    cards maps a variable to its cardinality (`parallel_cp_cost` passes
+    columns of a `CpShape`'s column table).  Shared variables come first
     (they shrink both input slices); then input-exclusive ones are taken
     from whichever input currently has the larger slice, ties favoring the
     first input.  Returns the split variables and the number of table
@@ -217,27 +218,32 @@ def bca_time(multiplies: int, result_size: int, n_u: int, b_d, machine: MachineP
 
 
 def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
-    """Modeled cost of one conformal product: its processor count
-    (`processor_count`) and split variables (`choose_split`), priced by
-    `bca_time`; t_s is the price of the same product on one processor."""
+    """Modeled cost of one conformal product, the one per-product pricer:
+    its processor count (`processor_count`) and split variables
+    (`choose_split`, over the variables each input keeps), priced by
+    `bca_time`; t_s is the price of the same product on one processor.
+    `shape` is a `factoring.CpShape`."""
     m = shape.multiply_count
     rsize = shape.result_size
     n_u = processor_count(m, rsize, machine)
     split, b_d, b_result = (), 0, 0
     if n_u > 1:
-        in1 = set(shape.vars1)
-        in2 = set(shape.vars2)
+        mask1 = shape.mask1
+        mask2 = shape.mask2
+        kept = shape.kept
+        columns = shape.columns
         split, entries = choose_split(
-            [v for v in shape.result_vars if v in in1 and v in in2],
-            [v for v in shape.result_vars if v in in1 and v not in in2],
-            [v for v in shape.result_vars if v in in2 and v not in in1],
-            shape._card_of, shape.size1, shape.size2, n_u,
+            factoring._bits(mask1 & mask2 & kept),
+            factoring._bits(mask1 & ~mask2 & kept),
+            factoring._bits(mask2 & ~mask1 & kept),
+            columns.cards, shape.size1, shape.size2, n_u,
         )
+        split = tuple(columns.vars[col] for col in split)
         b_d = machine.bytes_per_entry * entries
         b_result = machine.bytes_per_entry * rsize
     t_s = bca_time(m, rsize, 1, 0, machine)[3]
     w, c_d, c_r, t_p = bca_time(m, rsize, n_u, b_d, machine)
-    return CpCost(t_s, t_p, w, c_d, c_r, n_u, shape, tuple(split), b_d, b_result)
+    return CpCost(t_s, t_p, w, c_d, c_r, n_u, shape, split, b_d, b_result)
 
 
 def query_costs(tree, machine: MachineParams) -> QueryCost:

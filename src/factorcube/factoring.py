@@ -18,7 +18,6 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,52 +71,27 @@ class EvalTree:
 
 @dataclass(frozen=True)
 class CpShape:
-    """Variable-level description of one conformal product."""
+    """One conformal product as scope bitmasks over a column table, with
+    its dimensions and sizes.
 
-    vars1: tuple[int, ...]
-    vars2: tuple[int, ...]
-    union_vars: tuple[int, ...]
-    result_vars: tuple[int, ...]
-    cards: tuple[int, ...]  # aligned with union_vars
+    mask1/mask2 are the inputs' scopes and kept the result's; d1, d2, u
+    and r count the variables of the inputs, their union and the result;
+    size1, size2 and result_size are table sizes, multiply_count is the
+    union's joint cardinality.
+    """
 
-    @cached_property
-    def _card_of(self) -> dict[int, int]:
-        return dict(zip(self.union_vars, self.cards))
-
-    def _prod(self, vs) -> int:
-        return math.prod(map(self._card_of.__getitem__, vs))
-
-    @property
-    def d1(self) -> int:
-        return len(self.vars1)
-
-    @property
-    def d2(self) -> int:
-        return len(self.vars2)
-
-    @property
-    def u(self) -> int:
-        return len(self.union_vars)
-
-    @property
-    def r(self) -> int:
-        return len(self.result_vars)
-
-    @cached_property
-    def multiply_count(self) -> int:
-        return math.prod(self.cards)
-
-    @cached_property
-    def size1(self) -> int:
-        return self._prod(self.vars1)
-
-    @cached_property
-    def size2(self) -> int:
-        return self._prod(self.vars2)
-
-    @cached_property
-    def result_size(self) -> int:
-        return self._prod(self.result_vars)
+    columns: "_Columns"
+    mask1: int
+    mask2: int
+    kept: int
+    d1: int
+    d2: int
+    u: int
+    r: int
+    size1: int
+    size2: int
+    multiply_count: int
+    result_size: int
 
 
 @dataclass(frozen=True)
@@ -175,49 +149,88 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _Columns:
+    """Scope algebra over a fixed set of variables.
+
+    Column i is the i-th variable in ascending id order and a scope is a
+    bitmask over columns, so scope algebra is integer arithmetic and
+    decoding a mask yields variables in ascending order.  `vars` and
+    `cards` hold each column's variable and cardinality, `bit` each
+    variable's bit.
+    """
+
+    def __init__(self, cards: dict[int, int]):
+        self.vars = sorted(cards)
+        self.cards = [cards[v] for v in self.vars]
+        self.bit = {v: 1 << col for col, v in enumerate(self.vars)}
+        groups: dict[int, int] = {}
+        for col, card in enumerate(self.cards):
+            groups[card] = groups.get(card, 0) | 1 << col
+        self.card_groups = sorted(groups.items())
+
+    def mask(self, scope) -> int:
+        mask = 0
+        for v in scope:
+            mask |= self.bit[v]
+        return mask
+
+    def vars_of(self, mask: int) -> tuple[int, ...]:
+        return tuple(self.vars[col] for col in _bits(mask))
+
+    def size(self, mask: int) -> int:
+        """Joint cardinality of the variables in mask."""
+        out = 1
+        for card, group in self.card_groups:
+            out *= card ** (mask & group).bit_count()
+        return out
+
+    def shape(self, mask1: int, size1: int, mask2: int, size2: int,
+              kept: int, result_size: int) -> CpShape:
+        """The product of tables over mask1 and mask2, of size1 and size2
+        entries, that keeps the variables of kept, result_size entries."""
+        union = mask1 | mask2
+        return CpShape(
+            self, mask1, mask2, kept,
+            mask1.bit_count(), mask2.bit_count(), union.bit_count(), kept.bit_count(),
+            size1, size2, self.size(union), result_size,
+        )
+
+
 class _BuildState:
     """Active factor multiset during a greedy build.
 
-    Node scopes are bitmasks over `columns`, the variables in ascending id
-    order, so scope algebra is integer arithmetic and decoding a mask
-    yields variables in ascending order.  `count` holds, per column, how
-    many active nodes hold that variable.  `sizes` holds each node's table
-    size and `reduced` its size after summing out the variables only it
-    holds, which is what it keeps in a product with a node it shares no
-    variable with.
+    Node scopes are bitmasks over `cols`, the column table of the
+    instance's variables.  `count` holds, per column, how many active
+    nodes hold that variable.  `sizes` holds each node's table size and
+    `reduced` its size after summing out the variables only it holds,
+    which is what it keeps in a product with a node it shares no variable
+    with.  `bounds` holds the set-factoring-c bound entry of each
+    (multiply count, result size) priced so far.
     """
 
     def __init__(self, scopes, cards, query_var):
-        self.cards = dict(cards)
         self.query_var = query_var
         self.nodes: list[EvalNode] = [
             EvalNode(i, None, None, tuple(s)) for i, s in enumerate(scopes)
         ]
         self.active: list[int] = list(range(len(scopes)))  # node ids, ascending
         self.alive = bytearray([1]) * len(scopes)
-        self.columns = sorted({v for s in scopes for v in s} | {query_var})
-        col_of = {v: i for i, v in enumerate(self.columns)}
-        self.col_cards = [self.cards[v] for v in self.columns]
-        self.count = [0] * len(self.columns)
-        self.masks: list[int] = []
-        for s in scopes:
-            mask = 0
-            for v in s:
-                mask |= 1 << col_of[v]
-            self.masks.append(mask)
+        variables = {v for s in scopes for v in s} | {query_var}
+        self.cols = cols = _Columns({v: cards[v] for v in variables})
+        self.size = cols.size
+        self.masks: list[int] = [cols.mask(s) for s in scopes]
+        self.count = [0] * len(cols.vars)
+        for mask in self.masks:
             for col in _bits(mask):
                 self.count[col] += 1
-        self.query_col = col_of[query_var]
+        self.query_col = cols.bit[query_var].bit_length() - 1
         self.held_once = self.held_twice = 0
-        for col in range(len(self.columns)):
+        for col in range(len(cols.vars)):
             self._recount(col)
-        groups: dict[int, int] = {}
-        for col, card in enumerate(self.col_cards):
-            groups[card] = groups.get(card, 0) | 1 << col
-        self.card_groups = sorted(groups.items())
         self.sizes = [self.size(mask) for mask in self.masks]
         self.reduced = [self.size(mask & ~self.held_once) for mask in self.masks]
         self.class_ids: dict[tuple, int] = {}
+        self.bounds: dict[tuple[int, int], tuple[float, bool]] = {}
 
     def _recount(self, col: int) -> None:
         bit = 1 << col
@@ -236,15 +249,9 @@ class _BuildState:
         pair that shares no variable, exact or bound, depends only on the
         classes of its lower and its higher node."""
         kept = self.masks[x] & ~self.held_once
-        key = (self.sizes[x], tuple(self.col_cards[col] for col in _bits(kept)))
+        cards = self.cols.cards
+        key = (self.sizes[x], tuple(cards[col] for col in _bits(kept)))
         return self.class_ids.setdefault(key, len(self.class_ids))
-
-    def size(self, mask: int) -> int:
-        """Joint cardinality of the variables in mask."""
-        out = 1
-        for card, group in self.card_groups:
-            out *= card ** (mask & group).bit_count()
-        return out
 
     def _dead(self, mask_a: int, mask_b: int) -> int:
         """The eager summation rule: the product of two active nodes sums
@@ -252,9 +259,6 @@ class _BuildState:
         of one input held once or a variable of both inputs held twice.
         The query variable never dies."""
         return (mask_a ^ mask_b) & self.held_once | mask_a & mask_b & self.held_twice
-
-    def _vars(self, mask: int) -> tuple[int, ...]:
-        return tuple(self.columns[col] for col in _bits(mask))
 
     def work_key(self, a: int, b: int) -> tuple[int, int]:
         """(multiply count, result size) of the product of nodes a and b.
@@ -275,30 +279,27 @@ class _BuildState:
     def time_entry(self, a: int, b: int, cls_pair, machine):
         """Heap entry of the pair a < b keyed on a lower bound of its
         modeled time: `bca_time` with nothing distributed (b_d = 0), which
-        never exceeds the exact t_p and equals it on one processor."""
-        m, rsize = self.work_key(a, b)
-        n_u = costmodel.processor_count(m, rsize, machine)
-        bound = costmodel.bca_time(m, rsize, n_u, 0, machine)[3]
-        return bound, rsize, a, b, n_u == 1, cls_pair
+        never exceeds the exact t_p and equals it on one processor.  The
+        bound depends only on (multiply count, result size), so each
+        distinct one is priced once per build."""
+        key = self.work_key(a, b)
+        bound = self.bounds.get(key)
+        if bound is None:
+            n_u = costmodel.processor_count(*key, machine)
+            bound = costmodel.bca_time(*key, n_u, 0, machine)[3], n_u == 1
+            self.bounds[key] = bound
+        return bound[0], key[1], a, b, bound[1], cls_pair
 
     def time_key(self, a: int, b: int, machine) -> tuple[float, int]:
         """(modeled parallel time, result size) of the product of nodes a
         and b: the t_p `costmodel.parallel_cp_cost` gives its shape."""
-        m, rsize = self.work_key(a, b)
-        n_u = costmodel.processor_count(m, rsize, machine)
-        b_d = 0
-        if n_u > 1:
-            mask_a = self.masks[a]
-            mask_b = self.masks[b]
-            kept = (mask_a | mask_b) & ~self._dead(mask_a, mask_b)
-            _, entries = costmodel.choose_split(
-                _bits(mask_a & mask_b & kept),
-                _bits(mask_a & ~mask_b & kept),
-                _bits(mask_b & ~mask_a & kept),
-                self.col_cards, self.sizes[a], self.sizes[b], n_u,
-            )
-            b_d = machine.bytes_per_entry * entries
-        return costmodel.bca_time(m, rsize, n_u, b_d, machine)[3], rsize
+        mask_a = self.masks[a]
+        mask_b = self.masks[b]
+        kept = (mask_a | mask_b) & ~self._dead(mask_a, mask_b)
+        shape = self.cols.shape(
+            mask_a, self.sizes[a], mask_b, self.sizes[b], kept, self.size(kept)
+        )
+        return costmodel.parallel_cp_cost(shape, machine).t_p, shape.result_size
 
     def combine(self, a: int, b: int) -> int:
         """Replace active nodes a and b by their product (a = left) and
@@ -307,7 +308,7 @@ class _BuildState:
         mask_b = self.masks[b]
         dead = self._dead(mask_a, mask_b)
         kept = (mask_a | mask_b) & ~dead
-        self.nodes.append(EvalNode(None, a, b, self._vars(kept)))
+        self.nodes.append(EvalNode(None, a, b, self.cols.vars_of(kept)))
         new_id = len(self.nodes) - 1
         self.masks.append(kept)
         self.sizes.append(self.size(kept))
@@ -330,7 +331,7 @@ class _BuildState:
         root = self.active[0]
         return EvalTree(
             self.query_var,
-            tuple((v, self.cards[v]) for v in self.columns),
+            tuple(zip(self.cols.vars, self.cols.cards)),
             tuple(self.nodes),
             root,
         )
@@ -524,27 +525,28 @@ def build_tree(heuristic: str, scopes, cards, query_var, machine=None) -> EvalTr
 
 
 def tree_stats(tree: EvalTree) -> TreeStats:
-    """Per-product shapes plus the dimension summary.
+    """Per-product shapes plus the dimension summary, from one walk over
+    the nodes.
 
     dm is the largest product dimension in the tree; md is max(d1, d2, r)
     at a product of that dimension (largest such value if several products
     tie); md_all is the same maximum taken over every product.
     """
-    cards = dict(tree.var_cards)
+    cols = _Columns(dict(tree.var_cards))
+    masks = []
+    sizes = []
     shapes = []
+    dm = md = md_all = 0
     for node in tree.nodes:
+        mask = cols.mask(node.scope)
+        size = cols.size(mask)
+        masks.append(mask)
+        sizes.append(size)
         if node.is_leaf:
             continue
-        s1 = tree.nodes[node.left].scope
-        s2 = tree.nodes[node.right].scope
-        union = tuple(sorted(set(s1) | set(s2)))
-        shapes.append(
-            CpShape(s1, s2, union, node.scope, tuple(cards[v] for v in union))
-        )
-    dm = 0
-    md = 0
-    md_all = 0
-    for sh in shapes:
+        sh = cols.shape(masks[node.left], sizes[node.left],
+                        masks[node.right], sizes[node.right], mask, size)
+        shapes.append(sh)
         node_md = max(sh.d1, sh.d2, sh.r)
         md_all = max(md_all, node_md)
         if sh.u > dm:

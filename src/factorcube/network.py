@@ -435,7 +435,10 @@ def net_from_obj(obj, path) -> tuple[BeliefNet, QuerySpec]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise NetFormatError(f"{path}: evidence[{i}] must be a [var, value] pair")
         where = f"{path}: evidence[{i}]"
-        evidence[json_int(pair[0], where)] = json_int(pair[1], where)
+        var = json_int(pair[0], where)
+        if var in evidence:
+            raise NetFormatError(f"{where}: variable {var} is observed twice")
+        evidence[var] = json_int(pair[1], where)
     query = QuerySpec(qvar, evidence)
 
     report = validate(net) + validate_query(net, query)

@@ -62,6 +62,25 @@ def build_instance(net, query, machine=None):
     }
 
 
+def cp_shape(vars1, vars2, result, cards):
+    """The `factoring.CpShape` of the product of tables over vars1 and
+    vars2 that keeps result; cards holds the cardinalities of their union,
+    in ascending variable order.  Read back through `tree_stats` from a
+    tree of two leaves and the product."""
+    union = sorted({*vars1, *vars2})
+    tree = factoring.EvalTree(
+        0,  # tree_stats does not read the query variable
+        tuple(zip(union, cards, strict=True)),
+        (
+            factoring.EvalNode(0, None, None, tuple(vars1)),
+            factoring.EvalNode(1, None, None, tuple(vars2)),
+            factoring.EvalNode(None, 0, 1, tuple(result)),
+        ),
+        2,
+    )
+    return factoring.tree_stats(tree).shapes[0]
+
+
 @pytest.fixture(scope="session")
 def machine():
     return costmodel.DEFAULT_MACHINE

@@ -103,6 +103,23 @@ def test_validate_ok_and_failures(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("command", ["validate", "query"])
+@pytest.mark.parametrize("evidence", [
+    pytest.param([[1, 0], [1, 1]], id="conflicting-values"),
+    pytest.param([[1, 0], [1, 0]], id="same-value"),
+])
+def test_repeated_evidence_variable_is_parse_error(tmp_path, capsys, command, evidence):
+    path = tmp_path / "net.json"
+    write_two_node_net(path)
+    obj = json.loads(path.read_text())
+    obj["evidence"] = evidence
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {path}: evidence[1]: variable 1 is observed twice\n"
+
+
 # -- query ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("field, value, code", [
@@ -562,6 +579,20 @@ def test_experiment_rejects_ranges_before_any_net(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["experiment", "simulate"])
+def test_repeated_heuristic_is_usage_error(tmp_path, capsys, command):
+    net = tmp_path / "net.json"
+    write_two_node_net(net)
+    out_dir = tmp_path / "out"
+    argv = ["experiment", "--count", "2"] if command == "experiment" else ["simulate", str(net)]
+    code, out, err = run(capsys, *argv, "--heuristic", "chain", "--heuristic", "chain",
+                         "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: heuristic listed more than once: chain\n"
+    assert not out_dir.exists()
+
+
 def test_experiment_count_validation(capsys):
     with pytest.raises(SystemExit) as err:
         main(["experiment", "--count", "0", "--out", "x"])
@@ -578,6 +609,8 @@ def test_experiment_config_validation():
         ExperimentConfig(heuristics=())
     with pytest.raises(ValueError):
         ExperimentConfig(heuristics=("alphabetical",))
+    with pytest.raises(ValueError, match="more than once: chain"):
+        ExperimentConfig(heuristics=("chain", "set-factoring", "chain"))
     with pytest.raises(network.GenerationError):
         ExperimentConfig(node_count_range=(5, 4))
     with pytest.raises(network.GenerationError):

@@ -1,11 +1,13 @@
+import json
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from conftest import build_instance, small_net
-from factorcube import costmodel, factoring, metrics, network
+from conftest import build_instance, cp_shape, small_net
+from factorcube import cli, costmodel, factoring, metrics, network
 from factorcube.costmodel import (
     DEFAULT_MACHINE,
     MachineParams,
@@ -15,26 +17,27 @@ from factorcube.costmodel import (
     parallel_cp_cost,
     query_costs,
 )
-from factorcube.factoring import CpShape, build_chain_baseline, build_set_factoring
+from factorcube.factoring import build_chain_baseline, build_set_factoring
 
 B2 = {v: 2 for v in range(64)}
+
+
+def binary_vars(d1, d2, shared):
+    """Input vars of d1 and d2 binary variables overlapping on `shared`."""
+    return tuple(range(d1)), tuple(range(d1 - shared, d1 - shared + d2))
 
 
 def binary_shape(d1, d2, shared, summed):
     """A shape with d1/d2 input vars overlapping on `shared`, of which the
     union loses `summed` vars (taken from the shared ones first)."""
-    vars1 = tuple(range(d1))
-    vars2 = tuple(range(d1 - shared, d1 - shared + d2))
+    vars1, vars2 = binary_vars(d1, d2, shared)
     union = tuple(sorted(set(vars1) | set(vars2)))
-    result = union[summed:]
-    return CpShape(vars1, vars2, union, result, (2,) * len(union))
+    return cp_shape(vars1, vars2, union[summed:], (2,) * len(union))
 
 
 def plain_shape(union_count, result_count):
     union = tuple(range(union_count))
-    return CpShape(
-        union, union, union, union[: result_count], (2,) * union_count
-    )
+    return cp_shape(union, union, union[: result_count], (2,) * union_count)
 
 
 # -- machine parameters ------------------------------------------------------
@@ -70,7 +73,7 @@ def test_machine_config_round_trip(tmp_path):
 def test_seq_cost_examples():
     # bca_time on one processor is alpha per multiply and nothing else;
     # every product's t_s is that price, distributed or not
-    mixed = CpShape((0,), (1,), (0, 1), (0,), (2, 3))
+    mixed = cp_shape((0,), (1,), (0,), (2, 3))
     for shape, t_s in ((plain_shape(4, 1), 720.0), (plain_shape(12, 1), 184320.0),
                        (mixed, 270.0)):
         m = shape.multiply_count
@@ -98,14 +101,15 @@ def test_plan_split_sequential_fallback_under_grainsize():
 
 def test_plan_split_prefers_shared_variables():
     # inputs {A,B,C} and {B,C,D}; C summed out; result {A,B,D}
-    shape = CpShape((0, 1, 2), (1, 2, 3), (0, 1, 2, 3), (0, 1, 3), (2,) * 4)
+    vars1, vars2 = (0, 1, 2), (1, 2, 3)
+    shape = cp_shape(vars1, vars2, (0, 1, 3), (2,) * 4)
     machine = MachineParams(n_a=2, g_min=1)
     cost = parallel_cp_cost(shape, machine)
     assert cost.split_vars == (1,)  # B, the shared result variable
 
     def b_total_for(var):
-        k1 = 2 if var in shape.vars1 else 1
-        k2 = 2 if var in shape.vars2 else 1
+        k1 = 2 if var in vars1 else 1
+        k2 = 2 if var in vars2 else 1
         return 2 * 4 * (Fraction(shape.size1, k1) + Fraction(shape.size2, k2))
 
     candidates = {v: b_total_for(v) for v in (0, 1, 3)}
@@ -118,7 +122,8 @@ def test_plan_split_single_input_vars_balance_slices():
     shape = binary_shape(10, 4, 2, 2)
     machine = MachineParams(n_a=64, g_min=1)
     cost = parallel_cp_cost(shape, machine)
-    in1 = set(shape.vars1) - set(shape.vars2)
+    vars1, vars2 = binary_vars(10, 4, 2)
+    in1 = set(vars1) - set(vars2)
     assert cost.n_u == 64
     taken1 = sum(1 for v in cost.split_vars if v in in1)
     assert taken1 >= 4  # bigger input absorbs most of the split
@@ -154,17 +159,17 @@ def test_choose_split_matches_sequential_pour():
                         assert got == _sequential_pour(e1, e2, cap1, cap2, rem)
 
 
-def fraction_split(shape, n_u):
-    """Reference split choice with the slice sizes kept as exact rationals."""
-    cards = dict(zip(shape.union_vars, shape.cards))
-    in1, in2 = set(shape.vars1), set(shape.vars2)
-    shared = [v for v in shape.result_vars if v in in1 and v in in2]
-    only1 = [v for v in shape.result_vars if v in in1 and v not in in2]
-    only2 = [v for v in shape.result_vars if v in in2 and v not in in1]
+def fraction_split(vars1, vars2, result, cards, n_u):
+    """Reference split choice with the slice sizes kept as exact rationals;
+    cards maps each variable to its cardinality."""
+    in1, in2 = set(vars1), set(vars2)
+    shared = [v for v in result if v in in1 and v in in2]
+    only1 = [v for v in result if v in in1 and v not in in2]
+    only2 = [v for v in result if v in in2 and v not in in1]
     split = []
     capacity = 1
-    slice1 = Fraction(shape.size1)
-    slice2 = Fraction(shape.size2)
+    slice1 = Fraction(math.prod(cards[v] for v in vars1))
+    slice2 = Fraction(math.prod(cards[v] for v in vars2))
     for v in shared:
         if capacity >= n_u:
             break
@@ -200,22 +205,27 @@ def test_choose_split_matches_fraction_slices():
         union = tuple(sorted(set(vars1) | set(vars2)))
         result = tuple(sorted(rng.sample(union, rng.randint(1, len(union)))))
         cards = tuple(rng.randint(2, 5) for _ in union)
-        shape = CpShape(vars1, vars2, union, result, cards)
+        shape = cp_shape(vars1, vars2, result, cards)
         cost = parallel_cp_cost(shape, machine)
         if cost.n_u == 1:
             continue
         split_plans += 1
-        assert cost.split_vars == fraction_split(shape, cost.n_u)
+        assert cost.split_vars == fraction_split(
+            vars1, vars2, result, dict(zip(union, cards)), cost.n_u
+        )
     assert split_plans > 200
 
 
 def test_byte_accounting_is_exact():
     bpe = DEFAULT_MACHINE.bytes_per_entry
-    for shape in (plain_shape(20, 12), binary_shape(14, 11, 6, 3)):
+    for shape, (vars1, vars2) in (
+        (plain_shape(20, 12), (range(20), range(20))),
+        (binary_shape(14, 11, 6, 3), binary_vars(14, 11, 6)),
+    ):
         cost = parallel_cp_cost(shape, DEFAULT_MACHINE)
         # each worker gets one slice of each input, cut by the split vars
-        k1 = math.prod(2 for v in cost.split_vars if v in shape.vars1)
-        k2 = math.prod(2 for v in cost.split_vars if v in shape.vars2)
+        k1 = math.prod(2 for v in cost.split_vars if v in vars1)
+        k2 = math.prod(2 for v in cost.split_vars if v in vars2)
         assert shape.size1 % k1 == 0 and shape.size2 % k2 == 0
         assert cost.b_d == bpe * (shape.size1 // k1 + shape.size2 // k2)
         assert cost.b_result == bpe * shape.result_size
@@ -280,13 +290,13 @@ def test_fixed_overheads_only_on_distributed_products():
     machine = MachineParams(p_init=7.0, s_setup=5.0, b_buffer=3.0, n_a=64, g_min=16)
     scopes = [(0, 1), (1, 2), (2, 3, 4, 5, 6, 7)]
     # nodes 0 x 1: 8 multiplies, under the grainsize, so sequential
-    seq_shape = CpShape((0, 1), (1, 2), (0, 1, 2), (0, 2), (2,) * 3)
+    seq_shape = cp_shape((0, 1), (1, 2), (0, 2), (2,) * 3)
     seq = parallel_cp_cost(seq_shape, machine)
     assert seq.n_u == 1
     assert seq.t_p == seq.t_s == seq.w == 45.0 * 8
     assert seq.c_d == seq.c_r == 0.0
     # nodes 1 x 2: 128 multiplies, result {1}, so two workers split on 1
-    dist_shape = CpShape((1, 2), (2, 3, 4, 5, 6, 7), tuple(range(1, 8)), (1,), (2,) * 7)
+    dist_shape = cp_shape((1, 2), (2, 3, 4, 5, 6, 7), (1,), (2,) * 7)
     dist = parallel_cp_cost(dist_shape, machine)
     assert dist.n_u == 2 and dist.split_vars == (1,)
     assert (dist.w, dist.c_d, dist.c_r) == (45.0 * 64, 230.0 + 264 * 0.5, 230.0 + 4 * 0.5)
@@ -333,6 +343,139 @@ def test_query_costs_sums_match_second_traversal(protocol_corpus):
     t_s = sum(parallel_cp_cost(s, DEFAULT_MACHINE).t_s for s in shapes)
     assert qc.t_p_query == pytest.approx(t_p, rel=0)
     assert qc.t_s_query == pytest.approx(t_s, rel=0)
+
+
+# -- the cost walk against an independent oracle ------------------------------
+
+SHAPE_INTS = ("d1", "d2", "u", "r", "size1", "size2", "multiply_count", "result_size")
+
+ORACLE_MACHINES = (
+    DEFAULT_MACHINE,
+    MachineParams(n_a=64, g_min=1),
+    MachineParams(p_init=7.0, s_setup=5.0, b_buffer=3.0, n_a=16, g_min=16),
+)
+
+
+def oracle_costs(tree, machine):
+    """Each product's CpCost fields, its shape's sizes and the tree's
+    (dm, md, md_all), priced from variable tuples: `processor_count`,
+    `choose_split` and `bca_time` over each product's children scopes,
+    with sets and a cardinality dict, no bitmasks."""
+    cards = dict(tree.var_cards)
+    bpe = machine.bytes_per_entry
+    per = []
+    dm = md = md_all = 0
+    for node in tree.nodes:
+        if node.is_leaf:
+            continue
+        s1 = tree.nodes[node.left].scope
+        s2 = tree.nodes[node.right].scope
+        result = node.scope
+        union = sorted(set(s1) | set(s2))
+        m = math.prod(cards[v] for v in union)
+        size1 = math.prod(cards[v] for v in s1)
+        size2 = math.prod(cards[v] for v in s2)
+        rsize = math.prod(cards[v] for v in result)
+        n_u = costmodel.processor_count(m, rsize, machine)
+        split, b_d, b_result = [], 0, 0
+        if n_u > 1:
+            split, entries = costmodel.choose_split(
+                [v for v in result if v in s1 and v in s2],
+                [v for v in result if v in s1 and v not in s2],
+                [v for v in result if v in s2 and v not in s1],
+                cards, size1, size2, n_u,
+            )
+            b_d = bpe * entries
+            b_result = bpe * rsize
+        t_s = bca_time(m, rsize, 1, 0, machine)[3]
+        w, c_d, c_r, t_p = bca_time(m, rsize, n_u, b_d, machine)
+        per.append(dict(
+            t_s=t_s, t_p=t_p, w=w, c_d=c_d, c_r=c_r, n_u=n_u,
+            split_vars=tuple(split), b_d=b_d, b_result=b_result,
+            d1=len(s1), d2=len(s2), u=len(union), r=len(result),
+            size1=size1, size2=size2, multiply_count=m, result_size=rsize,
+        ))
+        node_md = max(len(s1), len(s2), len(result))
+        md_all = max(md_all, node_md)
+        if len(union) > dm:
+            dm, md = len(union), node_md
+        elif len(union) == dm:
+            md = max(md, node_md)
+    return per, (dm, md, md_all)
+
+
+def walked_costs(tree, machine):
+    """The same figures from `query_costs`: every CpCost field, the
+    shape's sizes in place of the shape."""
+    qc = query_costs(tree, machine)
+    per = []
+    for c in qc.per_cp:
+        got = {f.name: getattr(c, f.name) for f in fields(c) if f.name != "shape"}
+        got.update((k, getattr(c.shape, k)) for k in SHAPE_INTS)
+        per.append(got)
+    return per, (qc.stats.dm, qc.stats.md, qc.stats.md_all)
+
+
+def assert_matches_oracle(tree, machine):
+    got = walked_costs(tree, machine)
+    assert got == oracle_costs(tree, machine)
+    return got[0]
+
+
+def test_cost_walk_matches_oracle_on_protocol_trees(protocol_corpus):
+    distributed = 0
+    for inst in protocol_corpus:
+        for tree in inst["trees"].values():
+            for machine in ORACLE_MACHINES:
+                per = assert_matches_oracle(tree, machine)
+                distributed += sum(c["n_u"] > 1 for c in per)
+    assert distributed > 1000
+
+
+HAND_CARDS = {0: 2, 1: 3, 2: 4, 3: 2, 4: 3, 5: 4, 6: 3, 7: 4}
+HAND_SCOPES = [(0, 1), (1, 2, 3), (2, 4), (3, 4, 5), (5, 6, 7), (0, 6), (7,)]
+
+
+@pytest.mark.parametrize("heuristic", factoring.HEURISTICS)
+def test_cost_walk_matches_oracle_on_hand_trees(heuristic):
+    # cardinalities 2-4; on the default machine every product is
+    # sequential, on the third (g_min 16) those of fewer than 32 multiplies
+    per_machine = []
+    for machine in ORACLE_MACHINES:
+        tree = factoring.build_tree(heuristic, HAND_SCOPES, HAND_CARDS, 0, machine)
+        per_machine.append(assert_matches_oracle(tree, machine))
+    coarse = per_machine[2]
+    assert any(c["n_u"] == 1 for c in coarse) and any(c["n_u"] > 1 for c in coarse)
+    split_cards = {HAND_CARDS[v] for per in per_machine for c in per for v in c["split_vars"]}
+    assert split_cards == {2, 3, 4}
+
+
+def test_cost_walk_ignores_declared_variable_order(protocol_corpus, tmp_path, capsys):
+    # a tree file may declare its variables in any order; the walk sorts
+    # them by id, so costs, stats and simulate's CSV do not change
+    inst = max(protocol_corpus, key=lambda i: i["trees"]["set-factoring"].cp_count)
+    tree = inst["trees"]["set-factoring"]
+    sorted_path = tmp_path / "sorted.json"
+    factoring.save_tree(tree, sorted_path)
+    obj = json.loads(sorted_path.read_text())
+    obj["vars"].reverse()
+    descending_path = tmp_path / "descending.json"
+    descending_path.write_text(json.dumps(obj))
+    descending = factoring.load_tree(descending_path)
+    assert [v for v, _ in descending.var_cards] == sorted(
+        (v for v, _ in tree.var_cards), reverse=True
+    )
+    for machine in ORACLE_MACHINES:
+        per = assert_matches_oracle(descending, machine)
+        assert any(c["n_u"] > 1 for c in per)
+        assert walked_costs(descending, machine) == walked_costs(tree, machine)
+    details = []
+    for path in (sorted_path, descending_path):
+        out = tmp_path / path.stem
+        assert cli.main(["simulate", str(path), "--out", str(out)]) == cli.EXIT_OK
+        details.append((out / "details.csv").read_bytes())
+    capsys.readouterr()
+    assert details[0] == details[1]
 
 
 # -- longest path ------------------------------------------------------------

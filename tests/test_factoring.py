@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, small_net
+from conftest import build_instance, cp_shape, small_net
 from factorcube import costmodel, factoring, network
 from factorcube import factors as fa
 from factorcube.factoring import (
-    CpShape,
     build_chain_baseline,
     build_set_factoring,
     build_set_factoring_c,
@@ -145,7 +144,7 @@ RESCAN_MACHINES = (
 )
 
 
-def rescan_best_pair(state, machine):
+def rescan_best_pair(state, cards, machine):
     """Reference choice: score every active pair from scratch in row-major
     order under an independently derived eager summation rule, and keep
     the first least (cost, result size).  machine None keys on work."""
@@ -159,7 +158,7 @@ def rescan_best_pair(state, machine):
             v for v in union
             if v == state.query_var or held[v] > (v in s1) + (v in s2)
         )
-        shape = CpShape(s1, s2, union, result, tuple(state.cards[v] for v in union))
+        shape = cp_shape(s1, s2, result, tuple(cards[v] for v in union))
         if machine is None:
             key = (shape.multiply_count, shape.result_size)
         else:
@@ -208,7 +207,7 @@ def test_builder_matches_full_rescan_at_every_step(instance, query, machine):
     state = factoring._BuildState(scopes, cards, query)
     classes = {x: state.node_class(x) for x in state.active}
     for node in tree.nodes[len(scopes):]:
-        assert (node.left, node.right) == rescan_best_pair(state, machine)
+        assert (node.left, node.right) == rescan_best_pair(state, cards, machine)
         new_id = state.combine(node.left, node.right)
         classes[new_id] = state.node_class(new_id)
         for x in state.active:
@@ -249,6 +248,43 @@ def test_heap_grows_with_classes_not_pairs(heuristic):
         tracemalloc.stop()
     assert tree.cp_count == k - 1
     assert peak < 1 << 20
+
+
+def test_set_factoring_c_prices_each_bound_once(monkeypatch):
+    # the first net of the benchmark's large corpus, 240-255 relevant
+    # factors: thousands of bound entries share a few hundred distinct
+    # (multiply count, result size) values.  Each distinct bound calls
+    # bca_time once, each exact key twice (t_s and t_p).
+    net, query = network.random_net(network.NetGenParams(
+        (400, 400), (3.5, 5.0), (30, 50), seed=9527278904628312433
+    ))
+    scopes, cards, _ = factoring.scopes_for_query(net, query)
+    state_cls = factoring._BuildState
+    bca_time = costmodel.bca_time
+    time_entry = state_cls.time_entry
+    time_key = state_cls.time_key
+    calls = Counter()
+    bound_keys = set()
+
+    def counting_bca_time(*args):
+        calls["bca_time"] += 1
+        return bca_time(*args)
+
+    def recording_entry(self, a, b, cls_pair, machine):
+        calls["entries"] += 1
+        bound_keys.add(self.work_key(a, b))
+        return time_entry(self, a, b, cls_pair, machine)
+
+    def counting_key(self, a, b, machine):
+        calls["exact"] += 1
+        return time_key(self, a, b, machine)
+
+    monkeypatch.setattr(costmodel, "bca_time", counting_bca_time)
+    monkeypatch.setattr(state_cls, "time_entry", recording_entry)
+    monkeypatch.setattr(state_cls, "time_key", counting_key)
+    build_set_factoring_c(scopes, cards, query.query_var, costmodel.DEFAULT_MACHINE)
+    assert calls["entries"] > 5 * len(bound_keys)
+    assert calls["bca_time"] <= len(bound_keys) + 2 * calls["exact"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -422,7 +458,7 @@ def test_tree_stats_leaf_only():
 
 
 def test_cp_shape_sizes():
-    sh = CpShape((0, 1), (1, 2), (0, 1, 2), (0, 2), (2, 3, 4))
+    sh = cp_shape((0, 1), (1, 2), (0, 2), (2, 3, 4))
     assert sh.multiply_count == 24
     assert (sh.size1, sh.size2, sh.result_size) == (6, 12, 8)
 

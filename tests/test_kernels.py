@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import factorcube
+from conftest import cp_shape
 from factorcube import _kernels, costmodel, factoring
 
 
@@ -124,7 +125,7 @@ def test_time_key_selection_dominates_exact_costs():
                     v for v in union
                     if v == query or held[v] > (v in s1) + (v in s2)
                 )
-                shape = factoring.CpShape(s1, s2, union, result, (2,) * len(union))
+                shape = cp_shape(s1, s2, result, (2,) * len(union))
                 exact[i, j] = costmodel.parallel_cp_cost(shape, machine).t_p
                 assert state.time_key(i, j, machine) == (exact[i, j], shape.result_size)
         first = factoring.build_set_factoring_c(scopes, cards, query, machine).nodes[k]
