@@ -255,6 +255,8 @@ def cmd_simulate(args) -> int:
         net, query = loaded
         rows = _rows_for_net(net, query, heuristics, machine, 1)
     else:
+        if args.heuristic:
+            raise ValueError(f"--heuristic applies to net files only; {args.input} is a tree file")
         tree = loaded
         query = network.QuerySpec(tree.query_var, {})
         rows = metrics.build_report_rows(None, query, {"tree": tree}, machine, 1)
@@ -372,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="net file or tree file")
     p.add_argument("--heuristic", action="append",
                    choices=factoring.HEURISTICS,
-                   help="repeatable; default: all three")
+                   help="net files only; repeatable; default: all three")
     p.add_argument("--out", help="also write full-precision CSV here")
     _add_machine_flags(p)
     p.set_defaults(fn=cmd_simulate)

@@ -14,6 +14,7 @@ worst-case comparator that just folds factors left to right.
 """
 
 import bisect
+import functools
 import heapq
 import json
 import math
@@ -156,7 +157,9 @@ class _Columns:
     bitmask over columns, so scope algebra is integer arithmetic and
     decoding a mask yields variables in ascending order.  `vars` and
     `cards` hold each column's variable and cardinality, `bit` each
-    variable's bit.
+    variable's bit.  `card_groups` holds, per distinct cardinality c in
+    ascending order, the mask of its columns and the powers c**0 ... c**n
+    for its n columns.
     """
 
     def __init__(self, cards: dict[int, int]):
@@ -166,7 +169,10 @@ class _Columns:
         groups: dict[int, int] = {}
         for col, card in enumerate(self.cards):
             groups[card] = groups.get(card, 0) | 1 << col
-        self.card_groups = sorted(groups.items())
+        self.card_groups = [
+            (group, [card ** e for e in range(group.bit_count() + 1)])
+            for card, group in sorted(groups.items())
+        ]
 
     def mask(self, scope) -> int:
         mask = 0
@@ -180,8 +186,8 @@ class _Columns:
     def size(self, mask: int) -> int:
         """Joint cardinality of the variables in mask."""
         out = 1
-        for card, group in self.card_groups:
-            out *= card ** (mask & group).bit_count()
+        for group, powers in self.card_groups:
+            out *= powers[(mask & group).bit_count()]
         return out
 
     def shape(self, mask1: int, size1: int, mask2: int, size2: int,
@@ -260,35 +266,24 @@ class _BuildState:
         The query variable never dies."""
         return (mask_a ^ mask_b) & self.held_once | mask_a & mask_b & self.held_twice
 
-    def work_key(self, a: int, b: int) -> tuple[int, int]:
-        """(multiply count, result size) of the product of nodes a and b.
-        Two nodes that share no variable multiply their sizes and keep
-        their reduced sizes."""
-        mask_a = self.masks[a]
-        mask_b = self.masks[b]
-        if not mask_a & mask_b:
-            return self.sizes[a] * self.sizes[b], self.reduced[a] * self.reduced[b]
-        union = mask_a | mask_b
-        return self.size(union), self.size(union & ~self._dead(mask_a, mask_b))
-
-    def work_entry(self, a: int, b: int, cls_pair):
-        """Heap entry of the pair a < b keyed on work, always exact."""
-        m, rsize = self.work_key(a, b)
+    @staticmethod
+    def work_entry(m: int, rsize: int, a: int, b: int, cls_pair):
+        """Heap entry of the pair a < b keyed on work, always exact: its
+        multiply count m and result size rsize."""
         return m, rsize, a, b, True, cls_pair
 
-    def time_entry(self, a: int, b: int, cls_pair, machine):
-        """Heap entry of the pair a < b keyed on a lower bound of its
-        modeled time: `bca_time` with nothing distributed (b_d = 0), which
-        never exceeds the exact t_p and equals it on one processor.  The
-        bound depends only on (multiply count, result size), so each
-        distinct one is priced once per build."""
-        key = self.work_key(a, b)
-        bound = self.bounds.get(key)
+    def time_entry(self, m: int, rsize: int, a: int, b: int, cls_pair, machine):
+        """Heap entry of the pair a < b, of multiply count m and result
+        size rsize, keyed on a lower bound of its modeled time: `bca_time`
+        with nothing distributed (b_d = 0), which never exceeds the exact
+        t_p and equals it on one processor.  The bound depends only on
+        (m, rsize), so each distinct one is priced once per build."""
+        bound = self.bounds.get((m, rsize))
         if bound is None:
-            n_u = costmodel.processor_count(*key, machine)
-            bound = costmodel.bca_time(*key, n_u, 0, machine)[3], n_u == 1
-            self.bounds[key] = bound
-        return bound[0], key[1], a, b, bound[1], cls_pair
+            n_u = costmodel.processor_count(m, rsize, machine)
+            bound = costmodel.bca_time(m, rsize, n_u, 0, machine)[3], n_u == 1
+            self.bounds[m, rsize] = bound
+        return bound[0], rsize, a, b, bound[1], cls_pair
 
     def time_key(self, a: int, b: int, machine) -> tuple[float, int]:
         """(modeled parallel time, result size) of the product of nodes a
@@ -341,13 +336,14 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
     """Combine the active pair with the least (key, result size, lower id,
     higher id) until one node remains.
 
-    `entry(a, b, cls_pair)` gives the heap entry (bound, result size, a, b,
-    exact, cls_pair) of a pair a < b, where bound is at most the pair's key
-    and equals it when exact is true; `exact_key(a, b)` gives the (key,
-    result size) of a pair whose entry is not exact.  An inexact entry on
-    top is replaced by its exact one; an exact entry on top that names a
-    live pair is the least live pair, since every other live pair's key is
-    at least some entry's.  Only the top pairs are ever keyed exactly.
+    `entry(m, rsize, a, b, cls_pair)` gives the entry (bound, result size,
+    a, b, exact, cls_pair) of a pair a < b of multiply count m and result
+    size rsize, where bound is at most the pair's key and equals it when
+    exact is true; `exact_key(a, b)` gives the (key, result size) of a pair
+    whose entry is not exact.  An inexact entry on top is replaced by its
+    exact one; an exact entry on top that names a live pair is the least
+    live pair, since every other live pair's key is at least some entry's.
+    Only the top pairs are ever keyed exactly.
 
     A pair's key depends only on its two scopes and on the holder counts of
     their variables.  A combine lowers only the counts of variables held by
@@ -359,14 +355,25 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
     three holders to at least two, so it is held once neither before nor
     after.
 
-    Invariant: the heap holds an entry for every live pair that shares a
-    variable (cls_pair None).  For every ordered class pair (C1, C2) that
-    has a live pair a < b sharing no variable, with a in C1 and b in C2,
-    it holds one current entry.  All such pairs have the same key, so that
-    entry carries the key, or its bound, and names a pair no higher in
-    (a, b) order than the lowest live one.  So every live pair's key is at
-    least some entry's.  The class pairs keep the order of their nodes'
-    ids because the exact time key depends on which input comes first.
+    Pairs that share a variable (cls_pair None) are entered by their
+    higher node: when node b enters, the entries of its pairs with lower
+    active nodes that share a variable go into b's list, sorted, and only
+    the list's head goes into the heap.  A head that surfaces after b died
+    is dropped; b's list went when b died.  One that names a dead partner
+    moves b's list past its entries with dead partners and pushes the next
+    head; one that is inexact puts its exact entry in its sorted place in
+    the list and pushes the new head.  A list orders entries by the same
+    tuple as the heap.  So the heap holds one head per node, and every live
+    sharing pair's entry is at least its higher node's head.
+
+    For every ordered class pair (C1, C2) that has a live pair a < b
+    sharing no variable, with a in C1 and b in C2, the heap holds one
+    current entry.  All such pairs have the same key, so that entry
+    carries the key, or its bound, and names a pair no higher in (a, b)
+    order than the lowest live one; such a pair multiplies its nodes' sizes
+    and keeps their reduced sizes.  So every live pair's key is at least
+    some entry's.  The class pairs keep the order of their nodes' ids
+    because the exact time key depends on which input comes first.
 
     A class pair's lowest live pair only rises as nodes die.  The pairs a
     new product brings have the highest higher id, so for each class pair
@@ -374,19 +381,30 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
     A current entry that surfaces naming a dead node moves to the lowest
     live pair after its own, found by walking the two classes' members; a
     superseded entry is dropped when it surfaces.
-
-    Dropped entries pile up in the heap.  Once it holds more than n(n - 1)
-    entries for n active nodes, only live sharing entries and current
-    class entries are kept and the heap is rebuilt, which costs O(1) per
-    dropped entry.
     """
     masks = state.masks
     alive = state.alive
     active = state.active
+    size = state.size
+    dead = state._dead
+    sizes = state.sizes
+    reduced = state.reduced
     classes: list[int] = []  # per node id; nodes enter in id order
+    lists: list[list | None] = []  # per node id: its sharing entries, ascending
+    heads: list[int] = []  # per node id: index of its list's head
     heap = []
     current = {}  # class pair -> its current entry
     members: dict[int, list[int]] = {}  # class -> its active node ids, ascending
+
+    def push_head(b: int, i: int) -> None:
+        """Make the first entry of b's list from index i on that names a
+        live partner b's head, if there is one."""
+        entries = lists[b]
+        while i < len(entries) and not alive[entries[i][2]]:
+            i += 1
+        heads[b] = i
+        if i < len(entries):
+            heapq.heappush(heap, entries[i])
 
     def lowest_after(cls_pair, a0, b0):
         """The lowest disjoint pair (a, b) above (a0, b0), a < b, with a in
@@ -419,11 +437,20 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
         mask_n = masks[n]
         cls_n = state.node_class(n)
         classes.append(cls_n)
+        entries = []
         for x in active:
             if x == n:
                 break
-            if masks[x] & mask_n:
-                heapq.heappush(heap, entry(x, n, None))
+            mask_x = masks[x]
+            if mask_x & mask_n:
+                union = mask_x | mask_n
+                kept = union & ~dead(mask_x, mask_n)
+                entries.append(entry(size(union), size(kept), x, n, None))
+        entries.sort()
+        lists.append(entries)
+        heads.append(0)
+        if entries:
+            heapq.heappush(heap, entries[0])
         for cls, xs in members.items():
             for x in xs:
                 if masks[x] & mask_n:
@@ -431,7 +458,8 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
                 cls_pair = (cls, cls_n)
                 cur = current.get(cls_pair)
                 if cur is None:
-                    e = entry(x, n, cls_pair)
+                    e = entry(sizes[x] * sizes[n], reduced[x] * reduced[n],
+                              x, n, cls_pair)
                 elif x < cur[2]:
                     e = (cur[0], cur[1], x, n, cur[4], cls_pair)
                 else:
@@ -447,20 +475,28 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
         e = heapq.heappop(heap)
         _, _, a, b, exact, cls_pair = e
         if cls_pair is None:
-            if not (alive[a] and alive[b]):
+            if not alive[b]:
+                continue
+            if not alive[a]:
+                push_head(b, heads[b] + 1)
+                continue
+            if not exact:
+                i = heads[b] + 1
+                bisect.insort(lists[b], (*exact_key(a, b), a, b, True, None), lo=i)
+                push_head(b, i)
                 continue
         elif current.get(cls_pair) is not e:
             continue
         elif not (alive[a] and alive[b]):
             advance(e)
             continue
-        if not exact:
+        elif not exact:
             e = (*exact_key(a, b), a, b, True, cls_pair)
-            if cls_pair is not None:
-                current[cls_pair] = e
+            current[cls_pair] = e
             heapq.heappush(heap, e)
             continue
         for x in (a, b):
+            lists[x] = None
             xs = members[classes[x]]
             xs.remove(x)
             if not xs:
@@ -468,14 +504,6 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
         enter(state.combine(a, b))
         if cls_pair is not None and current[cls_pair] is e:
             advance(e)
-        n = len(active)
-        if len(heap) > n * (n - 1):
-            heap = [
-                e for e in heap
-                if (alive[e[2]] and alive[e[3]] if e[5] is None
-                    else current.get(e[5]) is e)
-            ]
-            heapq.heapify(heap)
     return state.finish()
 
 
@@ -495,8 +523,8 @@ def build_set_factoring_c(scopes, cards, query_var, machine) -> EvalTree:
     state = _BuildState(scopes, cards, query_var)
     return _greedy(
         state,
-        lambda a, b, cls_pair: state.time_entry(a, b, cls_pair, machine),
-        lambda a, b: state.time_key(a, b, machine),
+        functools.partial(state.time_entry, machine=machine),
+        functools.partial(state.time_key, machine=machine),
     )
 
 

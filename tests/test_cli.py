@@ -347,6 +347,20 @@ def test_simulate_accepts_tree_files(tmp_path, capsys):
     assert "results (tree)" in out
 
 
+def test_simulate_refuses_heuristic_for_tree_file(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    write_two_node_net(net)
+    tree = tmp_path / "tree.json"
+    run(capsys, "plan", str(net), "--out", str(tree))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "simulate", str(tree), "--heuristic", "chain",
+                         "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: --heuristic applies to net files only; {tree} is a tree file\n"
+    assert not out_dir.exists()
+
+
 def test_input_that_is_not_utf8_is_parse_error(tmp_path, capsys):
     path = tmp_path / "noise.json"
     path.write_bytes(np.random.default_rng(0).bytes(100))

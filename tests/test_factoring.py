@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import tracemalloc
@@ -169,7 +170,8 @@ def rescan_best_pair(state, cards, machine):
 
 
 RESCAN_INSTANCES = st.one_of(
-    # up to 24 scopes let dead heap entries outnumber live ones
+    # up to 24 scopes give nodes long lists of sharing pairs, whose heads
+    # name dead partners and whose bounds reorder once keyed exactly
     st.tuples(
         st.lists(st.sets(st.integers(0, 9), max_size=5), min_size=2, max_size=24),
         st.just([2] * 10) | st.lists(st.integers(2, 5), min_size=10, max_size=10),
@@ -194,6 +196,14 @@ RESCAN_INSTANCES = st.one_of(
 # and 6, shares variable 6 with node 1 but none with node 2, its best partner
 @example(([{1, 6}, {6, 7}, {0, 3}, {2, 3}, set()], [3, 2, 3, 2, 2, 2, 2, 3, 2, 2]),
          1, RESCAN_MACHINES[2])
+# the second product, of nodes 2 and 3, leaves node 5's head naming node 3
+# while node 5's list still holds (4, 5), the third product
+@example(([set(), set(), {8, 9}, {0, 9}, {4, 9}, {0, 4}], [3, 2, 2, 3, 3, 3, 2, 3, 3, 2]),
+         5, None)
+# node 2's head (1, 2) is a bound whose exact key sorts behind the bound of
+# (0, 2), the next entry in node 2's list and the first product
+@example(([{3, 4, 5, 6, 9}, {0, 2, 5, 7, 9}, {3, 6, 7, 9}], [3, 4, 5, 2, 4, 4, 3, 3, 3, 3]),
+         5, RESCAN_MACHINES[0])
 def test_builder_matches_full_rescan_at_every_step(instance, query, machine):
     # empty scopes make pairs that share no variable and keys that all tie
     scope_sets, card_list = instance
@@ -250,15 +260,53 @@ def test_heap_grows_with_classes_not_pairs(heuristic):
     assert peak < 1 << 20
 
 
+def first_large_instance():
+    """Scopes, cards and query of the first net of the benchmark's large
+    corpus: 248 relevant factors."""
+    net, query = network.random_net(network.NetGenParams(
+        (400, 400), (3.5, 5.0), (30, 50), seed=9527278904628312433
+    ))
+    scopes, cards, _ = factoring.scopes_for_query(net, query)
+    return scopes, cards, query
+
+
+@pytest.mark.parametrize("heuristic", ["set-factoring", "set-factoring-c"])
+def test_heap_holds_heads_not_pairs(monkeypatch, heuristic):
+    # each node's sharing pairs wait in its own list behind one head in the
+    # heap; an entry per sharing pair made the heap peak at 4,085 entries
+    scopes, cards, query = first_large_instance()
+    heappush = heapq.heappush
+    peak = 0
+
+    def tracking_push(heap, e):
+        nonlocal peak
+        heappush(heap, e)
+        peak = max(peak, len(heap))
+
+    monkeypatch.setattr(heapq, "heappush", tracking_push)
+    factoring.build_tree(heuristic, scopes, cards, query.query_var)
+    assert len(scopes) == 248
+    assert 0 < peak < 2 * len(scopes)
+
+
+def test_column_sizes_match_math_prod():
+    # three cardinality groups; the last mask holds every column of the
+    # cardinality-5 group, so it reads the last power in that group's table
+    cards = {0: 2, 3: 5, 4: 3, 6: 2, 7: 5, 9: 3, 11: 2, 12: 5}
+    cols = factoring._Columns(cards)
+    full = (1 << len(cards)) - 1
+    fives = cols.mask([v for v, card in cards.items() if card == 5])
+    for mask in range(full + 1):
+        assert cols.size(mask) == math.prod(cards[v] for v in cols.vars_of(mask))
+    assert (cols.size(0), cols.size(full), cols.size(fives)) == (1, 2**3 * 3**2 * 5**3, 125)
+
+
 def test_set_factoring_c_prices_each_bound_once(monkeypatch):
     # the first net of the benchmark's large corpus, 240-255 relevant
     # factors: thousands of bound entries share a few hundred distinct
     # (multiply count, result size) values.  Each distinct bound calls
     # bca_time once, each exact key twice (t_s and t_p).
-    net, query = network.random_net(network.NetGenParams(
-        (400, 400), (3.5, 5.0), (30, 50), seed=9527278904628312433
-    ))
-    scopes, cards, _ = factoring.scopes_for_query(net, query)
+    scopes, cards, query = first_large_instance()
     state_cls = factoring._BuildState
     bca_time = costmodel.bca_time
     time_entry = state_cls.time_entry
@@ -270,10 +318,10 @@ def test_set_factoring_c_prices_each_bound_once(monkeypatch):
         calls["bca_time"] += 1
         return bca_time(*args)
 
-    def recording_entry(self, a, b, cls_pair, machine):
+    def recording_entry(self, m, rsize, a, b, cls_pair, machine):
         calls["entries"] += 1
-        bound_keys.add(self.work_key(a, b))
-        return time_entry(self, a, b, cls_pair, machine)
+        bound_keys.add((m, rsize))
+        return time_entry(self, m, rsize, a, b, cls_pair, machine)
 
     def counting_key(self, a, b, machine):
         calls["exact"] += 1
