@@ -24,6 +24,16 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_CAP = 5
 
+# exit code of each kind of failure; any other exception is a fault of the
+# program, not of its input (a GenerationError is a ValueError, so usage)
+_EXIT_CODES = {
+    network.NetValidationError: EXIT_VALIDATION,
+    network.NetFormatError: EXIT_PARSE,
+    InconsistentEvidenceError: EXIT_VALIDATION,
+    DimensionCapError: EXIT_CAP,
+    ValueError: EXIT_USAGE,
+}
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -401,29 +411,18 @@ def main(argv=None) -> int:
         parser.error("--max-dim must be at least 1")
     try:
         return args.fn(args)
-    except network.GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except network.NetValidationError as exc:
-        for v in exc.violations:
-            print(f"error: {v.kind}: {v.message}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except network.NetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InconsistentEvidenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # a fault of the program, not of its input
-        message = " ".join(str(exc).split())
-        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code = next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES),
+                    EXIT_INTERNAL)
+        if isinstance(exc, network.NetValidationError):
+            lines = [f"{v.kind}: {v.message}" for v in exc.violations]
+        elif code == EXIT_INTERNAL:
+            lines = [f"internal: {type(exc).__name__}: {' '.join(str(exc).split())}"]
+        else:
+            lines = [str(exc)]
+        for line in lines:
+            print(f"error: {line}", file=sys.stderr)
+        return code
 
 
 def console_main() -> None:

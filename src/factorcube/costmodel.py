@@ -260,11 +260,11 @@ def query_costs(tree, machine: MachineParams) -> QueryCost:
         node_ids=tuple(i for i, n in enumerate(tree.nodes) if not n.is_leaf),
         stats=stats,
         machine=machine,
-        t_s_query=sum(c.t_s for c in per),
-        t_p_query=sum(c.t_p for c in per),
+        t_s_query=sum((c.t_s for c in per), 0.0),
+        t_p_query=sum((c.t_p for c in per), 0.0),
         n_u_query=max((c.n_u for c in per), default=1),
-        cm_total=sum(c.c_d + c.c_r for c in per),
-        cp_total=sum(c.w for c in per),
+        cm_total=sum((c.c_d + c.c_r for c in per), 0.0),
+        cp_total=sum((c.w for c in per), 0.0),
     )
 
 
@@ -296,8 +296,8 @@ def longest_path(tree, qc: QueryCost) -> LongestPath:
         at = node.left if below[node.left] >= below[node.right] else node.right
     return LongestPath(
         cp_count=len(path),
-        seq_time=sum(cost[i].t_s for i in path),
-        par_time=sum(cost[i].t_p for i in path),
+        seq_time=sum((cost[i].t_s for i in path), 0.0),
+        par_time=sum((cost[i].t_p for i in path), 0.0),
         node_ids=tuple(path),
     )
 

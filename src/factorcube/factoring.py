@@ -203,7 +203,8 @@ class _Columns:
 
 
 class _BuildState:
-    """Active factor multiset during a greedy build.
+    """The nodes of a build and what its active ones hold; the caller
+    keeps which nodes are active.
 
     Node scopes are bitmasks over `cols`, the column table of the
     instance's variables.  `count` holds, per column, how many active
@@ -219,8 +220,6 @@ class _BuildState:
         self.nodes: list[EvalNode] = [
             EvalNode(i, None, None, tuple(s)) for i, s in enumerate(scopes)
         ]
-        self.active: list[int] = list(range(len(scopes)))  # node ids, ascending
-        self.alive = bytearray([1]) * len(scopes)
         variables = {v for s in scopes for v in s} | {query_var}
         self.cols = cols = _Columns({v: cards[v] for v in variables})
         self.size = cols.size
@@ -307,11 +306,6 @@ class _BuildState:
         new_id = len(self.nodes) - 1
         self.masks.append(kept)
         self.sizes.append(self.size(kept))
-        self.alive[a] = self.alive[b] = 0
-        self.alive.append(1)
-        self.active.remove(a)
-        self.active.remove(b)
-        self.active.append(new_id)
         # kept variables of both inputs lose one holder; dead ones lose all
         for col in _bits(mask_a & mask_b & kept):
             self.count[col] -= 1
@@ -323,12 +317,12 @@ class _BuildState:
         return new_id
 
     def finish(self) -> EvalTree:
-        root = self.active[0]
+        """The tree rooted at the last node made."""
         return EvalTree(
             self.query_var,
             tuple(zip(self.cols.vars, self.cols.cards)),
             tuple(self.nodes),
-            root,
+            len(self.nodes) - 1,
         )
 
 
@@ -355,11 +349,15 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
     three holders to at least two, so it is held once neither before nor
     after.
 
+    `members`, each class's active nodes in ascending order, is the one
+    record of the active nodes; a dead node's list is None.  When node b
+    enters, one walk over the members, all lower than b, enters both
+    kinds of pairs below.
+
     Pairs that share a variable (cls_pair None) are entered by their
-    higher node: when node b enters, the entries of its pairs with lower
-    active nodes that share a variable go into b's list, sorted, and only
-    the list's head goes into the heap.  A head that surfaces after b died
-    is dropped; b's list went when b died.  One that names a dead partner
+    higher node: b's entries of its pairs that share a variable go into
+    b's list, sorted, and only the list's head goes into the heap.  A head
+    that surfaces after b died is dropped.  One that names a dead partner
     moves b's list past its entries with dead partners and pushes the next
     head; one that is inexact puts its exact entry in its sorted place in
     the list and pushes the new head.  A list orders entries by the same
@@ -383,8 +381,6 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
     superseded entry is dropped when it surfaces.
     """
     masks = state.masks
-    alive = state.alive
-    active = state.active
     size = state.size
     dead = state._dead
     sizes = state.sizes
@@ -400,7 +396,7 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
         """Make the first entry of b's list from index i on that names a
         live partner b's head, if there is one."""
         entries = lists[b]
-        while i < len(entries) and not alive[entries[i][2]]:
+        while i < len(entries) and lists[entries[i][2]] is None:
             i += 1
         heads[b] = i
         if i < len(entries):
@@ -433,51 +429,50 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
             heapq.heappush(heap, e)
 
     def enter(n: int) -> None:
-        """Enter the pairs of node n with every active node below it."""
+        """Enter the pairs of node n, the highest, with every active node:
+        a sharing entry for each node that shares a variable with n, and a
+        candidate for each class's first node that shares none."""
         mask_n = masks[n]
         cls_n = state.node_class(n)
         classes.append(cls_n)
         entries = []
-        for x in active:
-            if x == n:
-                break
-            mask_x = masks[x]
-            if mask_x & mask_n:
-                union = mask_x | mask_n
-                kept = union & ~dead(mask_x, mask_n)
-                entries.append(entry(size(union), size(kept), x, n, None))
+        for cls, xs in members.items():
+            cls_pair = None
+            for x in xs:
+                mask_x = masks[x]
+                if mask_x & mask_n:
+                    union = mask_x | mask_n
+                    kept = union & ~dead(mask_x, mask_n)
+                    entries.append(entry(size(union), size(kept), x, n, None))
+                elif cls_pair is None:
+                    cls_pair = (cls, cls_n)
+                    cur = current.get(cls_pair)
+                    if cur is None:
+                        e = entry(sizes[x] * sizes[n], reduced[x] * reduced[n],
+                                  x, n, cls_pair)
+                    elif x < cur[2]:
+                        e = (cur[0], cur[1], x, n, cur[4], cls_pair)
+                    else:
+                        continue
+                    current[cls_pair] = e
+                    heapq.heappush(heap, e)
         entries.sort()
         lists.append(entries)
         heads.append(0)
         if entries:
             heapq.heappush(heap, entries[0])
-        for cls, xs in members.items():
-            for x in xs:
-                if masks[x] & mask_n:
-                    continue
-                cls_pair = (cls, cls_n)
-                cur = current.get(cls_pair)
-                if cur is None:
-                    e = entry(sizes[x] * sizes[n], reduced[x] * reduced[n],
-                              x, n, cls_pair)
-                elif x < cur[2]:
-                    e = (cur[0], cur[1], x, n, cur[4], cls_pair)
-                else:
-                    break
-                current[cls_pair] = e
-                heapq.heappush(heap, e)
-                break
         members.setdefault(cls_n, []).append(n)
 
-    for n in active:
+    k = len(masks)
+    for n in range(k):
         enter(n)
-    while len(active) > 1:
+    while len(masks) < 2 * k - 1:  # k - 1 combines
         e = heapq.heappop(heap)
         _, _, a, b, exact, cls_pair = e
         if cls_pair is None:
-            if not alive[b]:
+            if lists[b] is None:
                 continue
-            if not alive[a]:
+            if lists[a] is None:
                 push_head(b, heads[b] + 1)
                 continue
             if not exact:
@@ -487,7 +482,7 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
                 continue
         elif current.get(cls_pair) is not e:
             continue
-        elif not (alive[a] and alive[b]):
+        elif lists[a] is None or lists[b] is None:
             advance(e)
             continue
         elif not exact:
@@ -532,11 +527,10 @@ def build_chain_baseline(scopes, cards, query_var) -> EvalTree:
     """Left-deep chain in input order; same eager summation rule."""
     _check_instance(scopes, cards, query_var)
     state = _BuildState(scopes, cards, query_var)
-    if len(state.active) > 1:
-        state.combine(0, 1)
-    while len(state.active) > 1:
+    left = 0
+    for x in range(1, len(scopes)):
         # running product stays on the left, next input factor on the right
-        state.combine(state.active[-1], state.active[0])
+        left = state.combine(left, x)
     return state.finish()
 
 

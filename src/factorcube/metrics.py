@@ -80,7 +80,7 @@ def build_report_rows(
         lp = costmodel.longest_path(tree, qc)
         bca_mem, memory, dist_mem = costmodel.memory_accounting(tree, qc)
         # dist-net: the result is gathered and rebroadcast, no inputs sent
-        dist_cm = sum(2.0 * c.c_r for c in qc.per_cp)
+        dist_cm = sum((2.0 * c.c_r for c in qc.per_cp), 0.0)
         t_s = qc.t_s_query
         t_p = qc.t_p_query
         if t_p > 0:

@@ -178,7 +178,7 @@ def validate(net: BeliefNet) -> list[Violation]:
                 Violation(
                     "row-sum",
                     v,
-                    f"variable {v} CPT row {int(r)} sums to {rows[r].sum()!r}",
+                    f"variable {v} CPT row {int(r)} sums to {float(rows[r].sum())}",
                 )
             )
     return out

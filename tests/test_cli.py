@@ -379,20 +379,24 @@ def test_simulate_rejects_unknown_format(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
-def _tree_file(path, products, root, scope=(0,), variables=((0, 2), (1, 2)),
-               sum_out=(1,), leaves=((0, (0,)), (1, (0, 1)))):
-    """Tree file over leaves, by default factor 0 on (0,) and factor 1 on
-    (0, 1) (nodes 0 and 1), query 0; each product is (left, right),
-    summing out variable 1."""
+def _tree_doc(products, root, scope=(0,), variables=((0, 2), (1, 2)),
+              sum_out=(1,), leaves=((0, (0,)), (1, (0, 1)))):
+    """Tree file document over leaves, by default factor 0 on (0,) and
+    factor 1 on (0, 1) (nodes 0 and 1), query 0; each product is (left,
+    right), keeping scope and summing out sum_out."""
     nodes = [{"factor": f, "scope": list(s)} for f, s in leaves]
     nodes += [
         {"left": left, "right": right, "sum_out": list(sum_out), "scope": list(scope)}
         for left, right in products
     ]
-    path.write_text(json.dumps({
+    return {
         "format": factoring.TREE_FORMAT, "query_var": 0,
         "vars": [list(vc) for vc in variables], "root": root, "nodes": nodes,
-    }))
+    }
+
+
+def _tree_file(path, products, root, **fields):
+    path.write_text(json.dumps(_tree_doc(products, root, **fields)))
 
 
 @pytest.mark.parametrize("products, root, code", [
@@ -500,6 +504,147 @@ def test_simulate_rejects_zero_procs(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", str(npath), "--procs", "0")
     assert code == EXIT_USAGE
     assert "n_a" in err
+
+
+def test_simulate_one_leaf_tree_writes_float_columns(tmp_path, capsys):
+    # no products: every sum is empty, and t_p = 0 reads r-spdp 1.0
+    path = tmp_path / "t.json"
+    _tree_file(path, [], 0, variables=((0, 2),), leaves=((0, (0,)),))
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, "simulate", str(path), "--out", str(out_dir))
+    assert code == EXIT_OK
+    (rec,) = read_details(out_dir / "details.csv")
+    for column in ("seq_time", "seq_time_best", "cm_cst", "cp_cst", "ttl_cst",
+                   "bca_cm", "dist_cm", "lp_seq_time", "lp_par_time"):
+        assert rec[column] == "0.0", column
+    assert (rec["cp_count"], rec["r_spdp"]) == ("0", "1.0")
+
+
+def test_simulate_grainsize_changes_costs(tmp_path, capsys):
+    # the two-node net's products are below the default grainsize, so
+    # they run on one processor unless --grainsize 1 lets them split
+    npath = tmp_path / "n.json"
+    write_two_node_net(npath)
+    costs = []
+    for flags in ((), ("--grainsize", "1")):
+        out_dir = tmp_path / f"out{len(flags)}"
+        code, _, _ = run(capsys, "simulate", str(npath), "--out", str(out_dir), *flags)
+        assert code == EXIT_OK
+        costs.append([(r["ttl_cst"], r["n_u_query"])
+                      for r in read_details(out_dir / "details.csv")])
+    assert all(n_u == "1" for _, n_u in costs[0])
+    assert all(a != b for a, b in zip(*costs))
+
+
+# -- exit codes of bad input ---------------------------------------------------
+
+_VARIABLES = [{"id": 0, "name": "A", "cardinality": 2},
+              {"id": 1, "name": "B", "cardinality": 2}]
+
+
+def _net_doc(**fields):
+    """The net file document of `write_two_node_net` with fields replaced."""
+    doc = {
+        "format": network.NET_FORMAT, "variables": _VARIABLES,
+        "parents": [[], [0]], "cpts": [[0.5, 0.5], [0.9, 0.1, 0.2, 0.8]],
+        "query": 0, "evidence": [[1, 0]],
+    }
+    return {**doc, **fields}
+
+
+_ROW_SUM = _net_doc(cpts=[[0.5, 0.5], [0.9, 0.1, 0.2, 0.3]])
+
+
+@pytest.mark.parametrize("argv, doc, code, message", [
+    pytest.param(("query", "{bad}"), _ROW_SUM, EXIT_VALIDATION,
+                 "row-sum: variable 1 CPT row 1 sums to 0.5", id="row-sum-query"),
+    pytest.param(("plan", "{bad}"), _ROW_SUM, EXIT_VALIDATION,
+                 "row-sum: variable 1 CPT row 1 sums to 0.5", id="row-sum-plan"),
+    pytest.param(("simulate", "{bad}"), _ROW_SUM, EXIT_VALIDATION,
+                 "row-sum: variable 1 CPT row 1 sums to 0.5", id="row-sum-simulate"),
+    pytest.param(("query", "{bad}"), [], EXIT_PARSE,
+                 "{bad}: top level must be an object", id="net-top-level-list"),
+    pytest.param(("query", "{bad}"), _net_doc(variables=[1, _VARIABLES[1]]), EXIT_PARSE,
+                 "{bad}: variables[0] must be an object", id="variable-not-object"),
+    pytest.param(("query", "{bad}"), _net_doc(parents=[[]]), EXIT_PARSE,
+                 "{bad}: variables, parents, and cpts must have equal length",
+                 id="parents-too-short"),
+    pytest.param(("query", "{bad}"), _net_doc(parents=[[], 0]), EXIT_PARSE,
+                 "{bad}: parents[1] must be a list", id="parents-entry-not-list"),
+    pytest.param(("query", "{bad}"), _net_doc(cpts=[["a", 0.5], [0.9, 0.1, 0.2, 0.8]]),
+                 EXIT_PARSE, "{bad}: cpts must be flat numeric arrays", id="cpt-string"),
+    pytest.param(("query", "{bad}"), _net_doc(evidence=[[1]]), EXIT_PARSE,
+                 "{bad}: evidence[0] must be a [var, value] pair", id="evidence-not-pair"),
+    pytest.param(("query", "{bad}"),
+                 _net_doc(variables=[_VARIABLES[0], {**_VARIABLES[1], "name": 5}]),
+                 EXIT_PARSE, "{bad}: variables[1]: field 'name' has wrong type",
+                 id="name-not-string"),
+    pytest.param(("query", "{bad}"),
+                 _net_doc(variables=[_VARIABLES[0], {**_VARIABLES[1], "id": 7}]),
+                 EXIT_VALIDATION, "id-dense: variable at slot 1 has id 7", id="ids-not-dense"),
+    pytest.param(("query", "{bad}"),
+                 _net_doc(variables=[_VARIABLES[0], {**_VARIABLES[1], "id": 0}]),
+                 EXIT_VALIDATION, "id-duplicate: duplicate id 0", id="id-repeated"),
+    pytest.param(("query", "{bad}"), _net_doc(cpts=[[-0.5, 1.5], [0.9, 0.1, 0.2, 0.8]]),
+                 EXIT_VALIDATION, "prob-range: variable 0 has a negative or non-finite entry",
+                 id="cpt-negative"),
+    pytest.param(("query", "{bad}"),
+                 _net_doc(cpts=[[float("nan"), 0.5], [0.9, 0.1, 0.2, 0.8]]),
+                 EXIT_VALIDATION, "prob-range: variable 0 has a negative or non-finite entry",
+                 id="cpt-nan"),
+    pytest.param(("query", "{bad}"), _net_doc(evidence=[[999, 0]]), EXIT_VALIDATION,
+                 "evidence-unknown: evidence on unknown 999", id="evidence-unknown"),
+    pytest.param(("simulate", "{good}", "--machine", "{bad}"), [], EXIT_USAGE,
+                 "{bad}: machine config must be an object", id="machine-list"),
+    pytest.param(("simulate", "{good}", "--machine", "{bad}"), {"g_min": -1}, EXIT_USAGE,
+                 "g_min must be non-negative", id="machine-negative-grainsize"),
+    pytest.param(("simulate", "{bad}"),
+                 _tree_doc([(0, 1)], 2, leaves=((0, (0,)), (0, (0, 1)))), EXIT_PARSE,
+                 "{bad}: not a valid evaluation tree (factor 0 is in more than one leaf)",
+                 id="tree-factor-twice"),
+    pytest.param(("simulate", "{bad}"),
+                 _tree_doc([(0, 1), (3, 2)], 4,
+                           leaves=((0, (0, 1)), (1, (1,)), (2, (0, 1)))),
+                 EXIT_PARSE, "{bad}: not a valid evaluation tree (variable 1 is summed out twice)",
+                 id="tree-summed-out-twice"),
+    pytest.param(("simulate", "{bad}"), _tree_doc([(0, 1)], 2, scope=(0, 1), sum_out=()),
+                 EXIT_PARSE, "{bad}: not a valid evaluation tree (root scope (0, 1) != query",
+                 id="tree-root-keeps-non-query"),
+])
+def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, doc, code, message):
+    paths = {"good": tmp_path / "good.json", "bad": tmp_path / "bad.json"}
+    write_two_node_net(paths["good"])
+    paths["bad"].write_text(json.dumps(doc))
+    got, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert got == code
+    assert out == ""
+    assert all(line.startswith("error: ") for line in err.splitlines())
+    assert f"error: {message.format(**paths)}" in err
+    assert "Traceback" not in err
+
+
+def test_validate_prints_row_sum_as_float(tmp_path, capsys):
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps(_ROW_SUM))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == EXIT_VALIDATION
+    assert (out, err) == ("row-sum: variable 1 CPT row 1 sums to 0.5\n", "")
+
+
+def test_gen_and_plan_write_to_stdout(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "--seed", "3", "--nodes", "8..8")
+    assert (code, err) == (EXIT_OK, "")
+    net = tmp_path / "n.json"
+    net.write_text(out)
+    assert run(capsys, "validate", str(net))[:2] == (EXIT_OK, "ok\n")
+    code, out, err = run(capsys, "plan", str(net))
+    assert code == EXIT_OK
+    assert err.startswith("heuristic=set-factoring factors=")
+    tree = tmp_path / "t.json"
+    tree.write_text(out)
+    code, out, _ = run(capsys, "simulate", str(tree))
+    assert code == EXIT_OK
+    assert "results (tree)" in out
 
 
 # -- experiment ------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_seq_cost_examples():
 
 # -- split planning ----------------------------------------------------------
 
-def test_plan_split_saturates_all_constraints():
+def test_parallel_cp_cost_saturates_all_constraints():
     shape = plain_shape(20, 12)
     cost = parallel_cp_cost(shape, DEFAULT_MACHINE)
     g = shape.multiply_count // cost.n_u  # multiplies per processor
@@ -93,13 +93,13 @@ def test_plan_split_saturates_all_constraints():
     assert cost.n_u <= shape.result_size
 
 
-def test_plan_split_sequential_fallback_under_grainsize():
+def test_parallel_cp_cost_sequential_fallback_under_grainsize():
     cost = parallel_cp_cost(plain_shape(8, 8), DEFAULT_MACHINE)
     assert cost.n_u == 1
     assert cost.b_d == 0 and cost.b_result == 0
 
 
-def test_plan_split_prefers_shared_variables():
+def test_parallel_cp_cost_prefers_shared_variables():
     # inputs {A,B,C} and {B,C,D}; C summed out; result {A,B,D}
     vars1, vars2 = (0, 1, 2), (1, 2, 3)
     shape = cp_shape(vars1, vars2, (0, 1, 3), (2,) * 4)
@@ -117,7 +117,7 @@ def test_plan_split_prefers_shared_variables():
     assert candidates[1] < candidates[0] and candidates[1] < candidates[3]
 
 
-def test_plan_split_single_input_vars_balance_slices():
+def test_parallel_cp_cost_single_input_vars_balance_slices():
     # no shared result vars: splits must pour onto the larger input first
     shape = binary_shape(10, 4, 2, 2)
     machine = MachineParams(n_a=64, g_min=1)

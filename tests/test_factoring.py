@@ -145,13 +145,14 @@ RESCAN_MACHINES = (
 )
 
 
-def rescan_best_pair(state, cards, machine):
-    """Reference choice: score every active pair from scratch in row-major
-    order under an independently derived eager summation rule, and keep
-    the first least (cost, result size).  machine None keys on work."""
-    held = Counter(v for x in state.active for v in state.nodes[x].scope)
+def rescan_best_pair(state, active, cards, machine):
+    """Reference choice: score every pair of the active node ids, ascending,
+    from scratch in row-major order under an independently derived eager
+    summation rule, and keep the first least (cost, result size).  machine
+    None keys on work."""
+    held = Counter(v for x in active for v in state.nodes[x].scope)
     best = None
-    for a, b in itertools.combinations(state.active, 2):
+    for a, b in itertools.combinations(active, 2):
         s1 = state.nodes[a].scope
         s2 = state.nodes[b].scope
         union = tuple(sorted(set(s1) | set(s2)))
@@ -215,15 +216,20 @@ def test_builder_matches_full_rescan_at_every_step(instance, query, machine):
     else:
         tree = build_set_factoring_c(scopes, cards, query, machine)
     state = factoring._BuildState(scopes, cards, query)
-    classes = {x: state.node_class(x) for x in state.active}
+    active = list(range(len(scopes)))
+    classes = {x: state.node_class(x) for x in active}
     for node in tree.nodes[len(scopes):]:
-        assert (node.left, node.right) == rescan_best_pair(state, cards, machine)
+        assert (node.left, node.right) == rescan_best_pair(state, active, cards, machine)
         new_id = state.combine(node.left, node.right)
+        active.remove(node.left)
+        active.remove(node.right)
+        active.append(new_id)
         classes[new_id] = state.node_class(new_id)
-        for x in state.active:
+        for x in active:
             assert state.reduced[x] == state.size(state.masks[x] & ~state.held_once)
             assert state.node_class(x) == classes[x]
     assert tuple(state.nodes) == tree.nodes
+    assert active == [tree.root]
 
 
 def test_class_pairs_are_ordered():
@@ -258,6 +264,27 @@ def test_heap_grows_with_classes_not_pairs(heuristic):
         tracemalloc.stop()
     assert tree.cp_count == k - 1
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("heuristic", ["set-factoring", "set-factoring-c"])
+def test_all_tie_instance_pops_linear_heap_work(monkeypatch, heuristic):
+    # every pair shares no variable and ties; one entry per (node, lower
+    # class) would name the same lowest member of a class from every node
+    # and surface them all when it dies, about 1.2 million pops
+    k = 1100
+    scopes = [(0,)] + [()] * (k - 1)
+    heappop = heapq.heappop
+    pops = 0
+
+    def counting_pop(heap):
+        nonlocal pops
+        pops += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
+    tree = factoring.build_tree(heuristic, scopes, {0: 2}, 0)
+    assert tree.cp_count == k - 1
+    assert pops <= 2 * k
 
 
 def first_large_instance():
