@@ -115,12 +115,14 @@ def cmd_query(args) -> int:
     post = factoring.posterior(
         net, query, args.heuristic, _machine_from_args(args), args.max_dim
     )
+    # the oracle runs before anything is printed, so that a refusal (exit 5)
+    # leaves stdout empty
+    oracle = brute_force_posterior(net, query) if args.check_oracle else None
     name = net.variables[query.query_var].name
     print(f"P({name} | {len(query.evidence)} observations)")
     for value, p in enumerate(post.table):
         print(f"  {name}={value}: {p:.6f}")
-    if args.check_oracle:
-        oracle = brute_force_posterior(net, query)
+    if oracle is not None:
         dev = float(max(abs(a - b) for a, b in zip(post.table, oracle.table)))
         print(f"max deviation from joint enumeration: {dev:.3e}")
     return EXIT_OK

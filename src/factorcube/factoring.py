@@ -656,27 +656,33 @@ def evaluate_tree(
                 f"factor {node.factor} covers {f.vars}, leaf expects {node.scope}"
             )
         tables[idx] = f.table
+    # Each product's table is 2**exponents[i] times its rescaled value, which
+    # has its largest entry in [0.5, 1), so that long chains of small
+    # probabilities do not underflow.  The parent's kernel call divides the
+    # two pending powers out of its smaller input, which is exact and spares
+    # a pass over a big table; normalize cancels the root's.
+    exponents = dict.fromkeys(tables, 0)
     for idx, node in enumerate(tree.nodes):
         if node.is_leaf:
             continue
-        v1 = tree.nodes[node.left].scope
-        v2 = tree.nodes[node.right].scope
-        dim = len({*v1, *v2})
+        left, right = tree.nodes[node.left], tree.nodes[node.right]
+        dim = len({*left.scope, *right.scope})
         if dim > max_dim:
             raise DimensionCapError(
                 f"conformal product spans {dim} variables, "
                 f"above the cap of {max_dim}"
             )
+        # the inputs are popped into the call, so both are freed before
+        # the result is stored, unless the result is a view of one
         table = _kernels.product_sum(
-            tables.pop(node.left), v1, tables.pop(node.right), v2, node.scope
+            tables.pop(node.left), left.scope,
+            tables.pop(node.right), right.scope, node.scope,
+            owned=(not left.is_leaf, not right.is_leaf),
+            shift=-exponents.pop(node.left) - exponents.pop(node.right),
         )
-        # rescale by a power of two, which is exact, so that long chains of
-        # small probabilities do not underflow; normalize cancels the scale.
-        # In place: the kernel's result is a fresh array, and a copy of it
-        # would double the largest table's memory.
-        exponent = math.frexp(table.max())[1]
-        if exponent:
-            np.ldexp(table, -exponent, out=table)
+        # a subnormal maximum keeps the smallest normal exponent, so that the
+        # parent's scale of its smaller input stays finite
+        exponents[idx] = max(math.frexp(table.max())[1], -1021)
         tables[idx] = table
     out = Factor(tree.nodes[tree.root].scope, tables[tree.root])
     if out.vars != (tree.query_var,):

@@ -184,6 +184,22 @@ def test_query_oracle_check_sweep(tmp_path, capsys):
         assert dev < 1e-9
 
 
+def test_query_oracle_refusal_prints_no_posterior(tmp_path, capsys):
+    # the tree evaluates, but the joint has 2**40 entries; the refusal must
+    # not follow an answer on stdout
+    path = tmp_path / "n.json"
+    code, _, _ = run(capsys, "gen", "--seed", "3", "--nodes", "40..40",
+                     "--out", str(path))
+    assert code == EXIT_OK
+    code, out, err = run(capsys, "query", str(path), "--check-oracle")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == "error: joint has 1099511627776 entries, above the cap of 16777216\n"
+    code, out, _ = run(capsys, "query", str(path))
+    assert code == EXIT_OK
+    assert out.startswith("P(n38 | 4 observations)\n")
+
+
 def test_query_prior_for_root_without_evidence(tmp_path, capsys):
     net = network.BeliefNet(
         (network.Variable(0, "A", 2),), ((),), (np.array([0.25, 0.75]),)

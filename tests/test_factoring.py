@@ -497,6 +497,91 @@ def test_long_evidence_chain_does_not_underflow():
     np.testing.assert_array_equal(got.table, [0.5, 0.5])
 
 
+def test_subnormal_product_keeps_the_scale_finite():
+    # the first product's largest entry, 2e-310, is subnormal: scaling the
+    # root's smaller input by its full exponent (2**1029) would overflow
+    leaves = [
+        fa.Factor((1,), np.array([1e-155, 1e-155])),
+        fa.Factor((0, 1), np.array([[1e-155, 1e-155], [2e-155, 1e-155]])),
+        fa.Factor((1,), np.array([1.0, 1.0])),
+    ]
+    tree = factoring.EvalTree(
+        query_var=0,
+        var_cards=((0, 2), (1, 2)),
+        nodes=tuple(factoring.EvalNode(i, None, None, f.vars) for i, f in enumerate(leaves))
+        + (factoring.EvalNode(None, 0, 1, (0, 1)), factoring.EvalNode(None, 3, 2, (0,))),
+        root=4,
+    )
+    np.testing.assert_allclose(evaluate_tree(tree, leaves).table, [0.4, 0.6], rtol=1e-9)
+
+
+def test_evaluation_never_writes_a_leaf():
+    # the chain folds eleven one-variable factors into a 2**11 table, which
+    # then covers each of the two observed children's factors: the kernel
+    # multiplies them into the table it owns, and only reads theirs
+    rng = np.random.default_rng(8)
+    n = 11
+    parents = ((),) * n + (tuple(range(n)),) * 2
+    rows = [rng.random((2 ** len(p), 2)) for p in parents]
+    net = network.BeliefNet(
+        tuple(network.Variable(v, f"n{v}", 2) for v in range(n + 2)),
+        parents,
+        tuple((r / r.sum(axis=1, keepdims=True)).ravel() for r in rows),
+    )
+    query = network.QuerySpec(0, {n: 1, n + 1: 0})
+    scopes, cards, _ = factoring.scopes_for_query(net, query)
+    tree = build_chain_baseline(scopes, cards, 0)
+    covered = [
+        node for node in tree.nodes
+        if not node.is_leaf and not tree.nodes[node.left].is_leaf
+        and tree.nodes[node.right].is_leaf
+        and set(tree.nodes[node.right].scope) <= set(tree.nodes[node.left].scope)
+        and 2 ** len(tree.nodes[node.left].scope) >= 2 ** 10
+    ]
+    assert len(covered) == 2
+    before = [cpt.tobytes() for cpt in net.cpts]
+    leaves = fa.query_factors(net, query)
+    first = evaluate_tree(tree, leaves)
+    again = evaluate_tree(tree, leaves)
+    assert [cpt.tobytes() for cpt in net.cpts] == before
+    np.testing.assert_array_equal(first.table, again.table)
+    np.testing.assert_allclose(
+        first.table, fa.brute_force_posterior(net, query).table, atol=1e-12
+    )
+
+
+def test_evaluation_peak_is_live_tables_plus_one_result():
+    # a 2**18-entry product the evaluator owns is multiplied by a factor
+    # whose variables it holds, summing two of them out; einsum contracts
+    # those two as a matmul, for which it copies the owned table
+    rng = np.random.default_rng(9)
+    scopes = [tuple(range(9)), tuple(range(9, 18)), (1, 17), (0, 2)]
+    leaves = [fa.Factor(s, rng.random((2,) * len(s))) for s in scopes]
+    union = tuple(range(18))
+    rest = (0, *range(2, 17))
+    tree = factoring.EvalTree(
+        query_var=0,
+        var_cards=tuple((v, 2) for v in union),
+        nodes=tuple(factoring.EvalNode(i, None, None, s) for i, s in enumerate(scopes))
+        + (factoring.EvalNode(None, 0, 1, union),
+           factoring.EvalNode(None, 4, 2, rest),
+           factoring.EvalNode(None, 5, 3, (0,))),
+        root=6,
+    )
+    factoring.check_tree(tree)
+    tracemalloc.start()
+    try:
+        got = evaluate_tree(tree, leaves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the owned table, the 2**16-entry result and the working buffers of
+    # einsum and numpy's ufuncs (about 140 KiB)
+    assert peak < (2 ** 18 + 2 ** 16) * 8 + (256 << 10)
+    want = np.einsum(*(x for f in leaves for x in (f.table, f.vars)), [0])
+    np.testing.assert_allclose(got.table, want / want.sum(), rtol=1e-12)
+
+
 def test_evaluate_respects_dimension_cap():
     tree = build_set_factoring([(0, 1), (1, 2), (2, 3)], B2, 0)
     factors = [

@@ -126,7 +126,7 @@ def test_product_down_to_no_variables_is_a_fresh_array():
     got = _kernels.product_sum(f1.table, f1.vars, f2.table, f2.vars, ())
     assert isinstance(got, np.ndarray) and got.shape == ()
     assert got == 1 * 10 + 2 * 100 + 3 * 10 + 4 * 100
-    # evaluate_tree rescales the kernel's result in place
+    # evaluate_tree gives the result back to the kernel, which may write into it
     assert got.flags.writeable
     assert not np.shares_memory(got, f1.table)
     assert not np.shares_memory(got, f2.table)

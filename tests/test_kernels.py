@@ -37,7 +37,7 @@ def check_product_sum(rng, vars1, vars2, keep, card_of):
     np.testing.assert_allclose(
         got, enumerated(t1, vars1, t2, vars2, keep, card_of), rtol=1e-12
     )
-    # evaluate_tree rescales the result in place
+    # evaluate_tree gives the result back to the kernel, which may write into it
     assert got.flags.writeable
     assert not np.shares_memory(got, t1) and not np.shares_memory(got, t2)
 
@@ -96,6 +96,80 @@ def test_product_sum_medium_dimension():
     full = t1[(...,) + (None,) * 3] * t2[(None,) * 3]
     want = full.sum(axis=tuple(i for i in union if i not in keep))
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _owned(rng, shape, order, step):
+    """A writeable table of `shape` that is a transposed view of a larger
+    array: `order` permutes the base's axes and `step` slices its last."""
+    base_shape = [shape[i] for i in np.argsort(order)]
+    base_shape[-1] = base_shape[-1] * step
+    base = rng.random(base_shape)
+    return base[..., ::step].transpose(order)
+
+
+@pytest.mark.parametrize(
+    "vars1, order, step, vars2, keep",
+    [
+        # a transposed, non-contiguous view; the factor's variables in another
+        # order than the table's
+        (tuple(range(11)), (10, *range(1, 10), 0), 2, (9, 0, 4), (0, 4, 8)),
+        # laid out in memory in reverse variable order
+        (tuple(range(11)), tuple(reversed(range(11))), 1, (10, 2), (5, 2)),
+        # nothing summed out: the result is the owned table
+        (tuple(range(11)), tuple(range(11)), 1, (3, 10), tuple(range(11))),
+        (tuple(range(11)), (10, *range(10)), 1, (10,), (10, *range(10))),
+        # everything summed out: a 0-d result
+        (tuple(range(11)), tuple(range(11)), 1, (0, 1, 10), ()),
+        # a factor over every variable of the table, in reverse order
+        (tuple(range(11)), tuple(range(11)), 1, tuple(range(10, -1, -1)), (7,)),
+        # a factor over the table's innermost variables
+        (tuple(range(11)), tuple(range(11)), 1, (8, 9, 10), (0, 9)),
+    ],
+)
+def test_product_sum_in_place_matches_enumeration(vars1, order, step, vars2, keep):
+    # cardinalities 2 and 3 alternate with the variable id: 2**6 * 3**5
+    # joint assignments, above the in-place route's threshold
+    rng = np.random.default_rng(6)
+    card_of = lambda v: 2 + v % 2
+    t1 = _owned(rng, [card_of(v) for v in vars1], order, step)
+    t2 = rng.random([card_of(v) for v in vars2])
+    t2.setflags(write=False)
+    assert t1.size >= _kernels._OPTIMIZE_FROM
+    want = enumerated(t1, vars1, t2, vars2, keep, card_of)
+    before = t1.copy()
+    # the owned input may come first or second
+    got = _kernels.product_sum(t2, vars2, t1, vars1, keep, owned=(False, True))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert got.shape == want.shape and got.flags.writeable
+    # the owned table was written into, the factor only read
+    assert not np.array_equal(t1, before)
+    assert not np.shares_memory(got, t2)
+    assert np.shares_memory(got, t1) == (len(keep) == len(vars1))
+
+
+@pytest.mark.parametrize("keep", [tuple(range(11)), (0, 4, 8)])
+def test_product_sum_shift_is_exact(keep):
+    # the shift scales the smaller input, which equals scaling the result
+    # by the same power of two bit for bit
+    rng = np.random.default_rng(7)
+    vars1, vars2 = tuple(range(11)), (9, 0, 4)
+    t1 = rng.random((2,) * 11)
+    t2 = rng.random((2,) * 3)
+    for shift in (-37, 5):
+        unshifted = _kernels.product_sum(t1.copy(), vars1, t2, vars2, keep,
+                                         owned=(True, False))
+        got = _kernels.product_sum(t1.copy(), vars1, t2, vars2, keep,
+                                   owned=(True, False), shift=shift)
+        np.testing.assert_array_equal(got, np.ldexp(unshifted, shift))
+        einsum = _kernels.product_sum(t1, vars1, t2, vars2, keep, shift=shift)
+        if keep == vars1:
+            # one multiply per entry on either route
+            np.testing.assert_array_equal(got, einsum)
+            np.testing.assert_array_equal(
+                einsum, np.ldexp(_kernels.product_sum(t1, vars1, t2, vars2, keep), shift)
+            )
+        else:
+            np.testing.assert_allclose(got, einsum, rtol=1e-12)
 
 
 def test_time_key_selection_dominates_exact_costs():
