@@ -14,7 +14,9 @@ save/load cycle reproduces every table bit for bit.
 import graphlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -236,30 +238,47 @@ def _draw_arc_slots(rng, n: int, target_avg: float, t_lo: int, t_hi: int):
     predecessors; single arcs are then added or removed at random until the
     total lands in [t_lo, t_hi], so the realized average is in range by
     construction.  Requires t_lo <= _arc_capacity(n).
+
+    A removal takes the r-th of all arcs and an addition the r-th of all
+    free slots, both ordered child first, then parent, ascending, for one
+    uniform r.  Neither list is built: the node holding index r is found
+    in a running sum of the per-node counts, so each adjusted arc costs
+    O(n).
     """
     caps = [min(i, MAX_IN_DEGREE) for i in range(n)]
     chosen: list[set[int]] = [set() for _ in range(n)]
     for i in range(1, n):
         p = min(1.0, target_avg / caps[i])
         k = int(rng.binomial(caps[i], p))
-        for j in rng.choice(i, size=k, replace=False):
-            chosen[i].add(int(j))
-    total = sum(len(c) for c in chosen)
+        chosen[i].update(rng.choice(i, size=k, replace=False).tolist())
+
+    def locate(counts, r):
+        """(node, offset) of overall index r in the counts' concatenation."""
+        ends = list(accumulate(counts))
+        i = bisect_right(ends, r)
+        return i, r - ends[i] + counts[i]
+
+    degrees = [len(c) for c in chosen]
+    total = sum(degrees)
     while total > t_hi:
-        arcs = [(j, i) for i in range(n) for j in sorted(chosen[i])]
-        j, i = arcs[int(rng.integers(0, len(arcs)))]
-        chosen[i].discard(j)
+        i, r = locate(degrees, int(rng.integers(0, total)))
+        chosen[i].discard(sorted(chosen[i])[r])
+        degrees[i] -= 1
         total -= 1
+
+    def free_slots(i):
+        """Node i's unchosen predecessors while it is below its cap, else 0."""
+        return i - len(chosen[i]) if len(chosen[i]) < caps[i] else 0
+
+    free = [free_slots(i) for i in range(n)]
     while total < t_lo:
-        free = [
-            (j, i)
-            for i in range(n)
-            if len(chosen[i]) < caps[i]
-            for j in range(i)
-            if j not in chosen[i]
-        ]
-        j, i = free[int(rng.integers(0, len(free)))]
+        i, j = locate(free, int(rng.integers(0, sum(free))))
+        for c in sorted(chosen[i]):  # j-th unchosen predecessor of i
+            if c > j:
+                break
+            j += 1
         chosen[i].add(j)
+        free[i] = free_slots(i)
         total += 1
     return [sorted(c) for c in chosen]
 
@@ -267,11 +286,15 @@ def _draw_arc_slots(rng, n: int, target_avg: float, t_lo: int, t_hi: int):
 def random_net(params: NetGenParams) -> tuple[BeliefNet, QuerySpec]:
     """Deterministic random net and query for the given params.
 
-    Node count, observation count, and total arc count are drawn uniformly
-    from their (feasibility-clipped) ranges, so the realized statistics land
-    inside the requested ranges by construction.  Arcs are a uniform subset
-    of the pairs consistent with a random topological order; every variable
-    is binary; CPT rows are uniform draws renormalized to one.
+    Node count, target average in-degree, and observation count are drawn
+    uniformly from their (feasibility-clipped) ranges.  Over a random
+    topological order, each node draws a binomial in-degree with the target
+    average as its mean and that many uniform parents among its predecessors;
+    the arc total is then moved into the range one uniformly drawn arc
+    (removed) or free slot (added) at a time, at O(n) per arc moved (see
+    `_draw_arc_slots`), so the realized average lands inside the requested
+    range by construction.  Every variable is binary; CPT rows are uniform
+    draws renormalized to one.
     """
     n_lo, n_hi = params.node_count_range
     a_lo, a_hi = params.avg_arcs_range
@@ -301,22 +324,21 @@ def random_net(params: NetGenParams) -> tuple[BeliefNet, QuerySpec]:
     obs_count = int(rng.integers(o_lo, obs_hi + 1))
 
     # Positions 0..n-1 form the topological order; shuffle the id labels.
-    label = rng.permutation(n)
+    label = rng.permutation(n).tolist()
     parents_by_pos = _draw_arc_slots(rng, n, target_avg, t_lo, t_hi)
 
     parents: list[tuple[int, ...]] = [()] * n
     for pos in range(n):
-        vid = int(label[pos])
-        parents[vid] = tuple(sorted(int(label[p]) for p in parents_by_pos[pos]))
+        parents[label[pos]] = tuple(sorted(label[p] for p in parents_by_pos[pos]))
 
     variables = tuple(Variable(i, f"n{i}", 2) for i in range(n))
-    cpts = []
-    for v in range(n):
-        rows = 2 ** len(parents[v])
-        raw = rng.random((rows, 2))
-        raw /= raw.sum(axis=1, keepdims=True)
-        cpts.append(raw.ravel())
-    net = BeliefNet(variables, tuple(parents), tuple(cpts))
+    # one draw for every row, in variable order: the same doubles as one
+    # draw per variable, since the generator fills arrays in C order
+    ends = [0, *accumulate(2 ** len(ps) for ps in parents)]
+    raw = rng.random((ends[-1], 2))
+    raw /= raw.sum(axis=1, keepdims=True)
+    cpts = tuple(raw[a:b].ravel() for a, b in zip(ends, ends[1:]))
+    net = BeliefNet(variables, tuple(parents), cpts)
 
     observed = [int(x) for x in rng.choice(n, size=obs_count, replace=False)]
     evidence = {v: int(rng.integers(0, 2)) for v in sorted(observed)}

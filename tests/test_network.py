@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import enumerate_posterior, small_net
 from factorcube import factors as fa
@@ -133,6 +135,53 @@ def test_random_net_infeasible_ranges():
                    ((3, 3), (1, 1), (-1, 0)), ((3, 3), (2, 1), (0, 0))):
         with pytest.raises(GenerationError):
             NetGenParams(*ranges)
+
+
+def draw_arc_slots_by_lists(rng, n, target_avg, t_lo, t_hi):
+    """Reference arc adjustment: list every arc, or every free slot, for
+    each arc it removes or adds, and index the list."""
+    caps = [min(i, network.MAX_IN_DEGREE) for i in range(n)]
+    chosen = [set() for _ in range(n)]
+    for i in range(1, n):
+        p = min(1.0, target_avg / caps[i])
+        k = int(rng.binomial(caps[i], p))
+        chosen[i].update(int(j) for j in rng.choice(i, size=k, replace=False))
+    total = sum(len(c) for c in chosen)
+    while total > t_hi:
+        arcs = [(j, i) for i in range(n) for j in sorted(chosen[i])]
+        j, i = arcs[int(rng.integers(0, len(arcs)))]
+        chosen[i].discard(j)
+        total -= 1
+    while total < t_lo:
+        free = [(j, i) for i in range(n) if len(chosen[i]) < caps[i]
+                for j in range(i) if j not in chosen[i]]
+        j, i = free[int(rng.integers(0, len(free)))]
+        chosen[i].add(j)
+        total += 1
+    return [sorted(c) for c in chosen]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    target_avg=st.floats(0.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    shifts=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+)
+def test_arc_slots_match_list_reference(n, target_avg, seed, shifts):
+    # the bounds sit on either side of the total the binomial phase draws,
+    # up to the whole capacity away, so that added arcs fill nodes to cap
+    capacity = network._arc_capacity(n)
+    drawn = sum(map(len, draw_arc_slots_by_lists(
+        np.random.default_rng(seed), n, target_avg, 0, capacity)))
+    t_lo, t_hi = sorted(
+        min(max(drawn + round(s * capacity), 0), capacity) for s in shifts
+    )
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = network._draw_arc_slots(ours, n, target_avg, t_lo, t_hi)
+    assert got == draw_arc_slots_by_lists(ref, n, target_avg, t_lo, t_hi)
+    assert t_lo <= sum(map(len, got)) <= t_hi
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 # -- relevance pruning -------------------------------------------------------
