@@ -213,8 +213,9 @@ class ExperimentConfig:
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Generate, plan, and cost `config.count` nets; write every table
     under out_dir.  Deterministic per master seed; a net whose generation
-    or planning fails is recorded in errors.csv and skipped.  Returns the
-    run metadata."""
+    or planning fails is recorded in errors.csv and skipped, and a run
+    with no failures removes an earlier errors.csv.  Returns the run
+    metadata."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     heuristics = list(config.heuristics)
@@ -252,6 +253,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         lines = ["net_index,seed,error"]
         lines += [f"{i},{s},{msg!r}" for i, s, msg in failures]
         (out / "errors.csv").write_text("\n".join(lines) + "\n")
+    else:
+        (out / "errors.csv").unlink(missing_ok=True)
     with open(out / "metadata.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")

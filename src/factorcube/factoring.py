@@ -638,6 +638,104 @@ def check_tree(tree: EvalTree) -> None:
         raise ValueError(f"root scope {root.scope} != query variable")
 
 
+@dataclass
+class _Run:
+    """Leaf products a node deferred (see `evaluate_tree`).  The node's
+    table is still its base's, over `vars`; `steps` holds each deferred
+    product as its leaf's table, the leaf's variables and the product's
+    scope, in tree order."""
+
+    vars: tuple[int, ...]
+    steps: list[tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]]
+
+
+def _exponent(table: np.ndarray) -> int:
+    """The power of two that brings table's largest entry into [0.5, 1).
+    A subnormal maximum keeps the smallest normal exponent, so that
+    dividing the power out of another table stays finite."""
+    return max(math.frexp(table.max())[1], -1021)
+
+
+def _apply(run: _Run, table: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
+    """The run's deferred products computed one at a time from its base
+    table, as if none had been deferred: the last one's table and its
+    exponent."""
+    tvars = run.vars
+    for leaf, lvars, scope in run.steps:
+        table = _kernels.product_sum(table, tvars, leaf, lvars, scope,
+                                     owned=(True, False), shift=-exponent)
+        exponent, tvars = _exponent(table), scope
+    return table, exponent
+
+
+def _fold(steps) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The product of the steps' leaf tables and its variables.  Each
+    step divides the running table's exponent out, so that a run of
+    small leaves does not underflow."""
+    (table, tvars, _), *rest = steps
+    owned = False
+    for leaf, lvars, _ in rest:
+        union = tvars + tuple(v for v in lvars if v not in tvars)
+        table = _kernels.product_sum(table, tvars, leaf, lvars, union,
+                                     owned=(owned, False), shift=-_exponent(table))
+        tvars, owned = union, True
+    return table, tvars
+
+
+def _defer_or_fold(tree: EvalTree, idx: int, dim: int, tables, exponents, runs) -> bool:
+    """Store product idx's table and return True when it defers its leaf,
+    multiplies a covered leaf into a run's base, or consumes a run with
+    its leaf (see `evaluate_tree`).  Otherwise apply its children's runs
+    and return False: the caller then computes the product as usual."""
+    node = tree.nodes[idx]
+    p, q = node.left, node.right
+    if tree.nodes[p].is_leaf:
+        p, q = q, p
+    if tree.nodes[p].is_leaf or not tree.nodes[q].is_leaf:
+        # two leaves, or two product results that each apply their own run
+        for i in (p, q):
+            if i in runs:
+                tables[i], exponents[i] = _apply(runs.pop(i), tables[i], exponents[i])
+        return False
+    # p is a product result, q a leaf
+    run = runs.pop(p, None)
+    base = tables[p]
+    deferrable = (len(node.scope) == dim and idx != tree.root
+                  and base.size >= _kernels._OPTIMIZE_FROM)
+    if run is None and not deferrable:
+        return False
+    leaf, lvars = tables[q], tree.nodes[q].scope
+    bvars = run.vars if run else tree.nodes[p].scope
+    if deferrable and set(lvars) <= set(bvars):
+        if run is None:
+            return False
+        # a covered leaf is multiplied into the base in place at once
+        table = _kernels.product_sum(tables.pop(p), bvars, tables.pop(q), lvars, bvars,
+                                     owned=(True, False), shift=-exponents.pop(p))
+        del exponents[q]
+        tables[idx], exponents[idx], runs[idx] = table, _exponent(table), run
+        return True
+    steps = (run.steps if run else []) + [(leaf, lvars, node.scope)]
+    cards = {v: n for t, tvars, _ in steps for v, n in zip(tvars, t.shape)}
+    if math.prod(cards.values()) <= base.size:
+        del tables[q], exponents[q]
+        if deferrable:
+            runs[idx] = _Run(bvars, steps)
+            tables[idx], exponents[idx] = tables.pop(p), exponents.pop(p)
+            return True
+        folded, fvars = _fold(steps)
+        table = _kernels.product_sum(
+            tables.pop(p), bvars, folded, fvars, node.scope, owned=(True, True),
+            shift=-exponents.pop(p) - _exponent(folded),
+        )
+        tables[idx], exponents[idx] = table, _exponent(table)
+        return True
+    # the folded table would outgrow its base
+    if run:
+        tables[p], exponents[p] = _apply(run, base, exponents[p])
+    return False
+
+
 def evaluate_tree(
     tree: EvalTree, factors: list[Factor], max_dim: int = DEFAULT_EVAL_CAP
 ) -> Factor:
@@ -645,6 +743,22 @@ def evaluate_tree(
 
     `factors` is indexed by the leaves' factor numbers.  Refuses products
     whose union dimension exceeds `max_dim` variables.
+
+    A product is deferred, not computed, when it sums nothing out, is not
+    the root, and multiplies a product result of at least
+    `_kernels._OPTIMIZE_FROM` entries (its base) by a leaf that holds a
+    variable the base lacks.  The product keeps the base's table and the
+    run of deferred leaves, and so does a product that multiplies it by
+    a further such leaf, or by a leaf the base covers, which goes into
+    the base in place at once.  The product that consumes the run with a
+    leaf input multiplies the run's leaves and its own into one folded
+    table, then makes one kernel call: the base times the folded table,
+    with its summation, so the union of the run is never built.  The
+    folded table never holds more entries than its base; a leaf that would
+    break this, or a product of two product results, first computes the
+    deferred products one at a time.  So while a product runs, memory
+    holds the live tables, at most one folded table no larger than its
+    base, and the product's result.
     """
     tables: dict[int, np.ndarray] = {}
     for idx, node in enumerate(tree.nodes):
@@ -662,6 +776,7 @@ def evaluate_tree(
     # two pending powers out of its smaller input, which is exact and spares
     # a pass over a big table; normalize cancels the root's.
     exponents = dict.fromkeys(tables, 0)
+    runs: dict[int, _Run] = {}
     for idx, node in enumerate(tree.nodes):
         if node.is_leaf:
             continue
@@ -672,6 +787,9 @@ def evaluate_tree(
                 f"conformal product spans {dim} variables, "
                 f"above the cap of {max_dim}"
             )
+        if (runs or len(node.scope) == dim and idx != tree.root) and _defer_or_fold(
+                tree, idx, dim, tables, exponents, runs):
+            continue
         # the inputs are popped into the call, so both are freed before
         # the result is stored, unless the result is a view of one
         table = _kernels.product_sum(
@@ -680,9 +798,7 @@ def evaluate_tree(
             owned=(not left.is_leaf, not right.is_leaf),
             shift=-exponents.pop(node.left) - exponents.pop(node.right),
         )
-        # a subnormal maximum keeps the smallest normal exponent, so that the
-        # parent's scale of its smaller input stays finite
-        exponents[idx] = max(math.frexp(table.max())[1], -1021)
+        exponents[idx] = _exponent(table)
         tables[idx] = table
     out = Factor(tree.nodes[tree.root].scope, tables[tree.root])
     if out.vars != (tree.query_var,):

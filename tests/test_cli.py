@@ -734,6 +734,22 @@ def test_experiment_records_partial_failures_and_continues(tmp_path, capsys):
     assert meta["net_count"] > 0  # the run kept going
 
 
+def test_experiment_without_failures_removes_earlier_errors(tmp_path, capsys):
+    # a 2-node draw cannot average 3 arcs per node, so net 3 of the first
+    # run fails; the second run into the same directory fails on none
+    out = tmp_path / "run"
+    code, _, _ = run(capsys, "experiment", "--count", "6", "--nodes", "2..40",
+                     "--arcs", "3..4", "--obs", "0..1", "--seed", "3",
+                     "--out", str(out))
+    assert code == 0
+    assert "GenerationError" in (out / "errors.csv").read_text()
+    code, _, _ = run(capsys, "experiment", "--count", "3", "--seed", "3",
+                     "--out", str(out))
+    assert code == 0
+    assert json.loads((out / "metadata.json").read_text())["failures"] == 0
+    assert not (out / "errors.csv").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     pytest.param(("--nodes", "5..4"), "empty range", id="empty-range"),
     pytest.param(("--arcs", "1..inf"), "must be finite", id="infinite-arcs"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, cp_shape, small_net
+from conftest import build_instance, cp_shape, enumerate_posterior, small_net
 from factorcube import costmodel, factoring, network
 from factorcube import factors as fa
 from factorcube.factoring import (
@@ -578,6 +578,114 @@ def test_evaluation_peak_is_live_tables_plus_one_result():
     # the owned table, the 2**16-entry result and the working buffers of
     # einsum and numpy's ufuncs (about 140 KiB)
     assert peak < (2 ** 18 + 2 ** 16) * 8 + (256 << 10)
+    want = np.einsum(*(x for f in leaves for x in (f.table, f.vars)), [0])
+    np.testing.assert_allclose(got.table, want / want.sum(), rtol=1e-12)
+
+
+def hand_tree(leaf_scopes, products):
+    """A tree over binary variables with query variable 0: a leaf per
+    scope in order, then each product (left, right, scope), the last one
+    the root; and random leaf factors for it."""
+    rng = np.random.default_rng(len(products))
+    nodes = [factoring.EvalNode(i, None, None, s) for i, s in enumerate(leaf_scopes)]
+    nodes += [factoring.EvalNode(None, a, b, s) for a, b, s in products]
+    var_cards = tuple((v, 2) for v in sorted({v for s in leaf_scopes for v in s}))
+    tree = factoring.EvalTree(0, var_cards, tuple(nodes), len(nodes) - 1)
+    factoring.check_tree(tree)
+    leaves = [fa.Factor(s, rng.random((2,) * len(s)) + 0.1) for s in leaf_scopes]
+    return tree, leaves
+
+
+def kernel_result_sizes(monkeypatch):
+    """A list that records the entry count of every table the kernel
+    returns from now on."""
+    sizes = []
+    product_sum = factoring._kernels.product_sum
+
+    def spy(*args, **kwargs):
+        out = product_sum(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(factoring._kernels, "product_sum", spy)
+    return sizes
+
+
+R10 = tuple(range(10))  # the 2**10-entry base: the product of leaves 0 and 1
+BASE_LEAVES = [tuple(range(5)), tuple(range(5, 10))]
+
+
+@pytest.mark.parametrize("leaf_scopes, products, largest", [
+    pytest.param(  # the run is consumed by a product with a leaf input
+        BASE_LEAVES + [(0, 10), (1, 11), (10, 11), (0, 1)],
+        [(0, 1, R10), (6, 2, R10 + (10,)), (7, 3, R10 + (10, 11)),
+         (8, 4, R10), (9, 5, (0,))],
+        2 ** 10, id="consumed-by-leaf"),
+    pytest.param(  # both inputs of the consumer are product results with runs
+        BASE_LEAVES + [(0, 12), tuple(range(2, 7)), tuple(range(7, 12)), (11, 13)],
+        [(0, 1, R10), (6, 2, R10 + (12,)), (3, 4, tuple(range(2, 12))),
+         (8, 5, tuple(range(2, 12)) + (13,)), (7, 9, (0,))],
+        2 ** 11, id="consumed-by-two-runs"),
+    pytest.param(  # leaf (1, 2) is covered by the base and joins it at once
+        BASE_LEAVES + [(0, 10), (1, 2), (3, 11), (10, 11), (0, 1)],
+        [(0, 1, R10), (7, 2, R10 + (10,)), (8, 3, R10 + (10,)),
+         (9, 4, R10 + (10, 11)), (10, 5, R10), (11, 6, (0,))],
+        2 ** 10, id="covered-leaf-in-run"),
+    pytest.param(  # folding leaf 3 would give a 2**12-entry table: no fold
+        BASE_LEAVES + [(0, 1, 2, 3, 4, 5, 10), (4, 5, 6, 7, 8, 9, 11), (10, 11), (0, 1)],
+        [(0, 1, R10), (6, 2, R10 + (10,)), (7, 3, R10 + (10, 11)),
+         (8, 4, R10), (9, 5, (0,))],
+        2 ** 12, id="fold-outgrows-base"),
+    pytest.param(  # the root consumes the run
+        BASE_LEAVES + [(0, 10), (1, 11), (0, 10, 11)],
+        [(0, 1, R10), (5, 2, R10 + (10,)), (6, 3, R10 + (10, 11)), (7, 4, (0,))],
+        2 ** 10, id="run-ends-at-root-child"),
+])
+def test_deferred_leaf_products_match_enumeration(monkeypatch, leaf_scopes, products,
+                                                  largest):
+    tree, leaves = hand_tree(leaf_scopes, products)
+    sizes = kernel_result_sizes(monkeypatch)
+    got = evaluate_tree(tree, leaves)
+    assert max(sizes) == largest
+    want = enumerate_posterior(leaves, 0, dict(tree.var_cards))
+    np.testing.assert_allclose(got.table, want, rtol=1e-12)
+
+
+def test_deferred_leaves_near_underflow_are_rescaled():
+    # three deferred leaves of about 1e-200 each: their product is far
+    # below the smallest double unless each fold step rescales
+    tree, leaves = hand_tree(
+        BASE_LEAVES + [(0, 10), (1, 11), (2, 12), (10, 11, 12)],
+        [(0, 1, R10), (6, 2, R10 + (10,)), (7, 3, R10 + (10, 11)),
+         (8, 4, R10 + (10, 11, 12)), (9, 5, (0,))],
+    )
+    leaves[2:5] = [fa.Factor(f.vars, f.table * 1e-200) for f in leaves[2:5]]
+    got = evaluate_tree(tree, leaves)
+    # the oracle multiplies in plain floats, so it gets the leaves scaled up
+    scaled = [fa.Factor(f.vars, f.table / f.table.max()) for f in leaves]
+    want = enumerate_posterior(scaled, 0, dict(tree.var_cards))
+    np.testing.assert_allclose(got.table, want, rtol=1e-9)
+
+
+def test_deferred_run_never_builds_its_union():
+    # a 2**16-entry product gains one variable from each of four leaves,
+    # and the next product sums all four out: computed one at a time, the
+    # run would build a 2**20-entry table
+    r16 = tuple(range(16))
+    tree, leaves = hand_tree(
+        [tuple(range(8)), tuple(range(8, 16)), (0, 16), (1, 17), (2, 18), (3, 19),
+         (16, 17, 18, 19), (0, 1)],
+        [(0, 1, r16), (8, 2, r16 + (16,)), (9, 3, r16 + (16, 17)),
+         (10, 4, r16 + (16, 17, 18)), (11, 5, r16 + (16, 17, 18, 19)),
+         (12, 6, r16), (13, 7, (0,))],
+    )
+    tracemalloc.start()
+    try:
+        got = evaluate_tree(tree, leaves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20 * 8
     want = np.einsum(*(x for f in leaves for x in (f.table, f.vars)), [0])
     np.testing.assert_allclose(got.table, want / want.sum(), rtol=1e-12)
 
