@@ -214,7 +214,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Generate, plan, and cost `config.count` nets; write every table
     under out_dir.  Deterministic per master seed; a net whose generation
     or planning fails is recorded in errors.csv and skipped, and a run
-    with no failures removes an earlier errors.csv.  Returns the run
+    with no failures removes an earlier errors.csv.  The tables are
+    written even when every net fails, as headers only.  Returns the run
     metadata."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,8 +248,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         "failures": len(failures),
         "note": "seq-time is the best sequential time over the heuristics above",
     }
-    if per_net_rows:
-        _write_tables(out, per_net_rows, heuristics, meta)
+    _write_tables(out, per_net_rows, heuristics, meta)
     if failures:
         lines = ["net_index,seed,error"]
         lines += [f"{i},{s},{msg!r}" for i, s, msg in failures]

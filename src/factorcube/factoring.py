@@ -638,17 +638,6 @@ def check_tree(tree: EvalTree) -> None:
         raise ValueError(f"root scope {root.scope} != query variable")
 
 
-@dataclass
-class _Run:
-    """Leaf products a node deferred (see `evaluate_tree`).  The node's
-    table is still its base's, over `vars`; `steps` holds each deferred
-    product as its leaf's table, the leaf's variables and the product's
-    scope, in tree order."""
-
-    vars: tuple[int, ...]
-    steps: list[tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]]
-
-
 def _exponent(table: np.ndarray) -> int:
     """The power of two that brings table's largest entry into [0.5, 1).
     A subnormal maximum keeps the smallest normal exponent, so that
@@ -656,84 +645,102 @@ def _exponent(table: np.ndarray) -> int:
     return max(math.frexp(table.max())[1], -1021)
 
 
-def _apply(run: _Run, table: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
-    """The run's deferred products computed one at a time from its base
-    table, as if none had been deferred: the last one's table and its
-    exponent."""
-    tvars = run.vars
-    for leaf, lvars, scope in run.steps:
-        table = _kernels.product_sum(table, tvars, leaf, lvars, scope,
-                                     owned=(True, False), shift=-exponent)
-        exponent, tvars = _exponent(table), scope
-    return table, exponent
+def _regroup(tree: EvalTree) -> EvalTree:
+    """A valid evaluation tree that runs the same products as `tree`, in
+    the same order, except that each run of deferred leaf products
+    `((B x L1) x L2) x Lq` becomes `B x ((L1 x L2) x Lq)`, the fold of
+    the leaves placed just before its consumer; `tree` itself when no
+    product defers.
 
+    A product defers when it sums nothing out, is not the root, and
+    multiplies a product result of at least `_kernels._OPTIMIZE_FROM`
+    entries (its base) by a leaf that holds a variable the base lacks.  A
+    further such leaf joins the run, and a leaf the base covers goes into
+    the base at once.  The next product with a leaf input consumes the
+    run: the base times the fold of the run's leaves and its own, so the
+    run's union table is never built.  The fold holds no more entries
+    than its base; a leaf that would break this, or a consumer of two
+    product results, gets the run's products one at a time, as in `tree`.
+    """
+    nodes = tree.nodes
+    cards = dict(tree.var_cards)
 
-def _fold(steps) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The product of the steps' leaf tables and its variables.  Each
-    step divides the running table's exponent out, so that a run of
-    small leaves does not underflow."""
-    (table, tvars, _), *rest = steps
-    owned = False
-    for leaf, lvars, _ in rest:
-        union = tvars + tuple(v for v in lvars if v not in tvars)
-        table = _kernels.product_sum(table, tvars, leaf, lvars, union,
-                                     owned=(owned, False), shift=-_exponent(table))
-        tvars, owned = union, True
-    return table, tvars
+    def size(scope) -> int:
+        return math.prod(map(cards.__getitem__, scope))
 
+    def split(node: EvalNode) -> tuple[int, int] | None:
+        """(product-result input, leaf input) of a product with one of each."""
+        left, right = node.left, node.right
+        if (nodes[left].factor is None) == (nodes[right].factor is None):
+            return None
+        return (right, left) if nodes[right].factor is None else (left, right)
 
-def _defer_or_fold(tree: EvalTree, idx: int, dim: int, tables, exponents, runs) -> bool:
-    """Store product idx's table and return True when it defers its leaf,
-    multiplies a covered leaf into a run's base, or consumes a run with
-    its leaf (see `evaluate_tree`).  Otherwise apply its children's runs
-    and return False: the caller then computes the product as usual."""
-    node = tree.nodes[idx]
-    p, q = node.left, node.right
-    if tree.nodes[p].is_leaf:
-        p, q = q, p
-    if tree.nodes[p].is_leaf or not tree.nodes[q].is_leaf:
-        # two leaves, or two product results that each apply their own run
-        for i in (p, q):
-            if i in runs:
-                tables[i], exponents[i] = _apply(runs.pop(i), tables[i], exponents[i])
-        return False
-    # p is a product result, q a leaf
-    run = runs.pop(p, None)
-    base = tables[p]
-    deferrable = (len(node.scope) == dim and idx != tree.root
-                  and base.size >= _kernels._OPTIMIZE_FROM)
-    if run is None and not deferrable:
-        return False
-    leaf, lvars = tables[q], tree.nodes[q].scope
-    bvars = run.vars if run else tree.nodes[p].scope
-    if deferrable and set(lvars) <= set(bvars):
-        if run is None:
-            return False
-        # a covered leaf is multiplied into the base in place at once
-        table = _kernels.product_sum(tables.pop(p), bvars, tables.pop(q), lvars, bvars,
-                                     owned=(True, False), shift=-exponents.pop(p))
-        del exponents[q]
-        tables[idx], exponents[idx], runs[idx] = table, _exponent(table), run
-        return True
-    steps = (run.steps if run else []) + [(leaf, lvars, node.scope)]
-    cards = {v: n for t, tvars, _ in steps for v, n in zip(tvars, t.shape)}
-    if math.prod(cards.values()) <= base.size:
-        del tables[q], exponents[q]
-        if deferrable:
-            runs[idx] = _Run(bvars, steps)
-            tables[idx], exponents[idx] = tables.pop(p), exponents.pop(p)
-            return True
-        folded, fvars = _fold(steps)
-        table = _kernels.product_sum(
-            tables.pop(p), bvars, folded, fvars, node.scope, owned=(True, True),
-            shift=-exponents.pop(p) - _exponent(folded),
-        )
-        tables[idx], exponents[idx] = table, _exponent(table)
-        return True
-    # the folded table would outgrow its base
-    if run:
-        tables[p], exponents[p] = _apply(run, base, exponents[p])
-    return False
+    def deferrable(i: int, base_vars) -> bool:
+        node = nodes[i]
+        return (i != tree.root and size(base_vars) >= _kernels._OPTIMIZE_FROM
+                and len(node.scope) == len({*nodes[node.left].scope,
+                                            *nodes[node.right].scope}))
+
+    # nodes before the first product that defers, which holds more
+    # variables than its base, are kept as they are
+    for first, node in enumerate(nodes):
+        if node.factor is None and (pq := split(node)):
+            bvars, lvars = nodes[pq[0]].scope, nodes[pq[1]].scope
+            if (len(node.scope) > len(bvars) and deferrable(first, bvars)
+                    and not set(lvars) <= set(bvars) and size(lvars) <= size(bvars)):
+                break
+    else:
+        return tree
+    out = list(nodes[:first])
+    new = {i: i for i in range(first)}  # node -> its id in out, unless deferred
+    # deferred product -> (its base's id in out, its steps), a step being
+    # (a deferred leaf's id in out, the scope of the product that took it)
+    runs: dict[int, tuple[int, list[tuple[int, tuple[int, ...]]]]] = {}
+
+    def emit(left: int, right: int, scope) -> int:
+        out.append(EvalNode(None, left, right, scope))
+        return len(out) - 1
+
+    def replay(base: int, steps) -> int:
+        for leaf, scope in steps:
+            base = emit(base, leaf, scope)
+        return base
+
+    for i in range(first, len(nodes)):
+        node = nodes[i]
+        if node.is_leaf:
+            new[i] = len(out)
+            out.append(node)
+            continue
+        if pq := split(node):
+            p, q = pq
+            base, steps = runs.pop(p) if p in runs else (new[p], [])
+            bvars, lvars = out[base].scope, nodes[q].scope
+            defers = deferrable(i, bvars)
+            if defers and set(lvars) <= set(bvars):
+                if steps:
+                    runs[i] = (emit(base, new[q], bvars), steps)
+                    continue
+            elif (defers or steps) and size(set(lvars).union(
+                    *(out[leaf].scope for leaf, _ in steps))) <= size(bvars):
+                steps = [*steps, (new[q], node.scope)]
+                if defers:
+                    runs[i] = (base, steps)
+                    continue
+                fold = steps[0][0]
+                for leaf, _ in steps[1:]:
+                    fold = emit(fold, leaf, tuple(sorted({*out[fold].scope,
+                                                          *out[leaf].scope})))
+                new[i] = emit(base, fold, node.scope)
+                continue
+            if steps:
+                new[p] = replay(base, steps)
+        else:  # two leaves, or two product results that replay their runs
+            for c in (node.left, node.right):
+                if c in runs:
+                    new[c] = replay(*runs.pop(c))
+        new[i] = emit(new[node.left], new[node.right], node.scope)
+    return EvalTree(tree.query_var, tree.var_cards, tuple(out), new[tree.root])
 
 
 def evaluate_tree(
@@ -741,62 +748,49 @@ def evaluate_tree(
 ) -> Factor:
     """Run the tree numerically and return the normalized query posterior.
 
-    `factors` is indexed by the leaves' factor numbers.  Refuses products
-    whose union dimension exceeds `max_dim` variables.
+    `factors` is indexed by the leaves' factor numbers.  Refuses, before
+    any product runs, a tree with a product whose union dimension exceeds
+    `max_dim` variables.
 
-    A product is deferred, not computed, when it sums nothing out, is not
-    the root, and multiplies a product result of at least
-    `_kernels._OPTIMIZE_FROM` entries (its base) by a leaf that holds a
-    variable the base lacks.  The product keeps the base's table and the
-    run of deferred leaves, and so does a product that multiplies it by
-    a further such leaf, or by a leaf the base covers, which goes into
-    the base in place at once.  The product that consumes the run with a
-    leaf input multiplies the run's leaves and its own into one folded
-    table, then makes one kernel call: the base times the folded table,
-    with its summation, so the union of the run is never built.  The
-    folded table never holds more entries than its base; a leaf that would
-    break this, or a product of two product results, first computes the
-    deferred products one at a time.  So while a product runs, memory
-    holds the live tables, at most one folded table no larger than its
-    base, and the product's result.
+    The products run in the order of `_regroup(tree)`, whose largest
+    product has the same dimension.  Each product result is handed to the
+    next product as owned, so while a product runs, memory holds the live
+    tables (the pending results and the leaves) and the product's result.
     """
+    nodes = tree.nodes
+    for node in nodes:
+        if node.is_leaf:
+            if factors[node.factor].vars != node.scope:
+                raise ValueError(f"factor {node.factor} covers "
+                                 f"{factors[node.factor].vars}, leaf expects {node.scope}")
+        elif (dim := len({*nodes[node.left].scope, *nodes[node.right].scope})) > max_dim:
+            raise DimensionCapError(f"conformal product spans {dim} variables, "
+                                    f"above the cap of {max_dim}")
+    tree = _regroup(tree)
     tables: dict[int, np.ndarray] = {}
-    for idx, node in enumerate(tree.nodes):
-        if not node.is_leaf:
-            continue
-        f = factors[node.factor]
-        if f.vars != node.scope:
-            raise ValueError(
-                f"factor {node.factor} covers {f.vars}, leaf expects {node.scope}"
-            )
-        tables[idx] = f.table
     # Each product's table is 2**exponents[i] times its rescaled value, which
     # has its largest entry in [0.5, 1), so that long chains of small
     # probabilities do not underflow.  The parent's kernel call divides the
     # two pending powers out of its smaller input, which is exact and spares
-    # a pass over a big table; normalize cancels the root's.
-    exponents = dict.fromkeys(tables, 0)
-    runs: dict[int, _Run] = {}
+    # a pass over a big table; normalize cancels the root's.  A leaf keeps
+    # its scale, except in a product of two leaves, which divides out both
+    # leaves' powers: two leaves of 1e-200 would underflow.
+    exponents: dict[int, int] = {}
     for idx, node in enumerate(tree.nodes):
         if node.is_leaf:
+            tables[idx] = factors[node.factor].table
             continue
         left, right = tree.nodes[node.left], tree.nodes[node.right]
-        dim = len({*left.scope, *right.scope})
-        if dim > max_dim:
-            raise DimensionCapError(
-                f"conformal product spans {dim} variables, "
-                f"above the cap of {max_dim}"
-            )
-        if (runs or len(node.scope) == dim and idx != tree.root) and _defer_or_fold(
-                tree, idx, dim, tables, exponents, runs):
-            continue
+        if left.is_leaf and right.is_leaf:
+            shift = -_exponent(tables[node.left]) - _exponent(tables[node.right])
+        else:
+            shift = -exponents.pop(node.left, 0) - exponents.pop(node.right, 0)
         # the inputs are popped into the call, so both are freed before
         # the result is stored, unless the result is a view of one
         table = _kernels.product_sum(
             tables.pop(node.left), left.scope,
             tables.pop(node.right), right.scope, node.scope,
-            owned=(not left.is_leaf, not right.is_leaf),
-            shift=-exponents.pop(node.left) - exponents.pop(node.right),
+            owned=(not left.is_leaf, not right.is_leaf), shift=shift,
         )
         exponents[idx] = _exponent(table)
         tables[idx] = table

@@ -750,6 +750,26 @@ def test_experiment_without_failures_removes_earlier_errors(tmp_path, capsys):
     assert not (out / "errors.csv").exists()
 
 
+def test_experiment_with_every_net_failing_writes_header_only_tables(tmp_path, capsys):
+    # a 2..7-node draw cannot average 3 arcs per node, so the second run
+    # into the same directory fails on its only net
+    out = tmp_path / "run"
+    code, _, _ = run(capsys, "experiment", "--count", "2", "--seed", "5",
+                     "--out", str(out))
+    assert code == 0
+    code, stdout, _ = run(capsys, "experiment", "--count", "1", "--nodes", "2..7",
+                          "--arcs", "3..3", "--seed", "1", "--out", str(out))
+    assert code == 0
+    assert stdout.startswith("0 nets simulated, 1 failures")
+    for name in EXPERIMENT_FILES:
+        assert (out / name).exists(), name
+    table1 = (out / "nets_table.csv").read_text().strip().split("\n")
+    assert table1[1].startswith("# config count=1 seed=1 ")
+    assert len([l for l in table1 if not l.startswith("# ")]) == 1
+    assert read_details(out / "details.csv") == []
+    assert json.loads((out / "metadata.json").read_text())["net_count"] == 0
+
+
 @pytest.mark.parametrize("flags, message", [
     pytest.param(("--nodes", "5..4"), "empty range", id="empty-range"),
     pytest.param(("--arcs", "1..inf"), "must be finite", id="infinite-arcs"),

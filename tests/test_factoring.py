@@ -497,6 +497,22 @@ def test_long_evidence_chain_does_not_underflow():
     np.testing.assert_array_equal(got.table, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("heuristic", factoring.HEURISTICS)
+def test_two_tiny_leaves_do_not_underflow(heuristic):
+    # P(n2 = 1 | n0) and P(n3 = 1 | n0) are about 1e-200: the greedy
+    # builders multiply those two leaves first, and their product is far
+    # below the smallest double unless it is rescaled
+    tiny = np.array([1 - 1e-200, 1e-200, 1 - 2e-200, 2e-200])
+    net = network.BeliefNet(
+        tuple(network.Variable(v, f"n{v}", 2) for v in range(4)),
+        ((1,), (), (0,), (0,)),
+        (np.array([0.3, 0.7, 0.6, 0.4]), np.array([0.5, 0.5]), tiny, tiny),
+    )
+    got = factoring.posterior(net, network.QuerySpec(0, {2: 1, 3: 1}), heuristic)
+    # the prior (0.45, 0.55) times the evidence's (1e-400, 4e-400)
+    np.testing.assert_allclose(got.table, np.array([0.45, 2.2]) / 2.65, rtol=1e-12)
+
+
 def test_subnormal_product_keeps_the_scale_finite():
     # the first product's largest entry, 2e-310, is subnormal: scaling the
     # root's smaller input by its full exponent (2**1029) would overflow
@@ -615,7 +631,7 @@ R10 = tuple(range(10))  # the 2**10-entry base: the product of leaves 0 and 1
 BASE_LEAVES = [tuple(range(5)), tuple(range(5, 10))]
 
 
-@pytest.mark.parametrize("leaf_scopes, products, largest", [
+DEFERRED_RUNS = [
     pytest.param(  # the run is consumed by a product with a leaf input
         BASE_LEAVES + [(0, 10), (1, 11), (10, 11), (0, 1)],
         [(0, 1, R10), (6, 2, R10 + (10,)), (7, 3, R10 + (10, 11)),
@@ -640,7 +656,10 @@ BASE_LEAVES = [tuple(range(5)), tuple(range(5, 10))]
         BASE_LEAVES + [(0, 10), (1, 11), (0, 10, 11)],
         [(0, 1, R10), (5, 2, R10 + (10,)), (6, 3, R10 + (10, 11)), (7, 4, (0,))],
         2 ** 10, id="run-ends-at-root-child"),
-])
+]
+
+
+@pytest.mark.parametrize("leaf_scopes, products, largest", DEFERRED_RUNS)
 def test_deferred_leaf_products_match_enumeration(monkeypatch, leaf_scopes, products,
                                                   largest):
     tree, leaves = hand_tree(leaf_scopes, products)
@@ -653,7 +672,7 @@ def test_deferred_leaf_products_match_enumeration(monkeypatch, leaf_scopes, prod
 
 def test_deferred_leaves_near_underflow_are_rescaled():
     # three deferred leaves of about 1e-200 each: their product is far
-    # below the smallest double unless each fold step rescales
+    # below the smallest double unless each product that folds them rescales
     tree, leaves = hand_tree(
         BASE_LEAVES + [(0, 10), (1, 11), (2, 12), (10, 11, 12)],
         [(0, 1, R10), (6, 2, R10 + (10,)), (7, 3, R10 + (10, 11)),
@@ -688,6 +707,45 @@ def test_deferred_run_never_builds_its_union():
     assert peak < 2 ** 20 * 8
     want = np.einsum(*(x for f in leaves for x in (f.table, f.vars)), [0])
     np.testing.assert_allclose(got.table, want / want.sum(), rtol=1e-12)
+
+
+def summed_out(tree):
+    return set().union(*(tree.sum_out(i) for i, n in enumerate(tree.nodes) if not n.is_leaf))
+
+
+@pytest.mark.parametrize("leaf_scopes, products, largest", DEFERRED_RUNS)
+def test_regroup_keeps_leaves_summation_and_dimension(leaf_scopes, products, largest):
+    tree, _ = hand_tree(leaf_scopes, products)
+    got = factoring._regroup(tree)
+    factoring.check_tree(got)
+    assert Counter(n for n in got.nodes if n.is_leaf) == Counter(
+        n for n in tree.nodes if n.is_leaf)
+    assert summed_out(got) == summed_out(tree)
+    # evaluate_tree checks --max-dim on the tree as given
+    assert tree_stats(got).dm == tree_stats(tree).dm
+
+
+@pytest.mark.parametrize("leaf_scopes, products", [
+    pytest.param([(0, 1), (1, 2), (2, 3)], [(0, 1, (0, 2)), (3, 2, (0,))],
+                 id="small-products"),
+    pytest.param(BASE_LEAVES + [(0, 1), (0,)],
+                 [(0, 1, R10), (4, 2, R10), (5, 3, (0,))], id="covered-leaf-only"),
+])
+def test_regroup_without_deferral_returns_the_tree(leaf_scopes, products):
+    tree, _ = hand_tree(leaf_scopes, products)
+    assert factoring._regroup(tree) is tree
+
+
+def test_dimension_cap_refuses_before_any_product(monkeypatch):
+    # only the root, the last product, spans four variables
+    tree, leaves = hand_tree([(0, 1), (1, 2), (2, 3, 4)],
+                             [(0, 1, (0, 2)), (3, 2, (0,))])
+    sizes = kernel_result_sizes(monkeypatch)
+    with pytest.raises(DimensionCapError):
+        evaluate_tree(tree, leaves, max_dim=3)
+    assert sizes == []
+    evaluate_tree(tree, leaves, max_dim=4)
+    assert len(sizes) == 2
 
 
 def test_evaluate_respects_dimension_cap():
