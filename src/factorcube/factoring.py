@@ -108,12 +108,16 @@ class TreeStats:
         return (self.dm - self.md) / self.dm if self.dm > 0 else 0.0
 
 
-def scopes_for_query(net, query) -> tuple[list[tuple[int, ...]], dict[int, int], list[int]]:
-    """Factor scopes for a query: one scope per relevant variable, with the
-    observed variables sliced away.  Returns (scopes, cards, relevant_ids)."""
-    relevant = sorted(network.relevant_factors(net, query))
+def scopes_for_query(
+    net, query, ids=None
+) -> tuple[list[tuple[int, ...]], dict[int, int], list[int]]:
+    """Factor scopes for a query: one scope per CPT id in `ids` (ascending;
+    by default the ancestral closure, `network.relevant_factors`), with the
+    observed variables sliced away.  Returns (scopes, cards, ids)."""
+    if ids is None:
+        ids = sorted(network.relevant_factors(net, query))
     scopes = []
-    for v in relevant:
+    for v in ids:
         scope = tuple(
             w
             for w in sorted({v, *net.parents[v]})
@@ -126,7 +130,7 @@ def scopes_for_query(net, query) -> tuple[list[tuple[int, ...]], dict[int, int],
         for v in scope
     }
     cards.setdefault(query.query_var, net.variables[query.query_var].cardinality)
-    return scopes, cards, relevant
+    return scopes, cards, ids
 
 
 def _check_instance(scopes, cards, query_var) -> None:
@@ -802,10 +806,16 @@ def evaluate_tree(
 
 def posterior(net, query, heuristic: str = "set-factoring",
               machine=None, max_dim: int = DEFAULT_EVAL_CAP) -> Factor:
-    """End-to-end numeric answer: prune, condition, build, evaluate."""
-    scopes, cards, _ = scopes_for_query(net, query)
+    """End-to-end numeric answer: prune, condition, build, evaluate.
+
+    Only the requisite CPTs (`network.requisite_factors`, a Bayes-ball
+    pass) are conditioned and multiplied, so the tree, and the `max_dim`
+    cap on it, can be smaller than those of the ancestral closure the
+    analytic commands use; the posterior is the same."""
+    ids = network.requisite_factors(net, query)
+    scopes, cards, _ = scopes_for_query(net, query, ids)
     tree = build_tree(heuristic, scopes, cards, query.query_var, machine)
-    return evaluate_tree(tree, factors.query_factors(net, query), max_dim=max_dim)
+    return evaluate_tree(tree, factors.query_factors(net, query, ids), max_dim=max_dim)
 
 
 def _tree_to_obj(tree: EvalTree) -> dict:

@@ -120,12 +120,14 @@ def cpt_factor(net, var: int) -> Factor:
     return Factor(tuple(axis_vars[i] for i in order), table.transpose(order))
 
 
-def query_factors(net, query) -> list[Factor]:
-    """Conditioned factors for the relevant part of the net, one per
-    relevant variable in ascending id order.  Observed variables are
-    sliced away, so the returned scopes contain only unobserved ids."""
-    relevant = sorted(network.relevant_factors(net, query))
-    return [condition(cpt_factor(net, v), query.evidence) for v in relevant]
+def query_factors(net, query, ids=None) -> list[Factor]:
+    """Conditioned CPT factors, one per id in `ids` (ascending; by default
+    the ancestral closure, `network.relevant_factors`), in that order.
+    Observed variables are sliced away, so the returned scopes contain
+    only unobserved ids."""
+    if ids is None:
+        ids = sorted(network.relevant_factors(net, query))
+    return [condition(cpt_factor(net, v), query.evidence) for v in ids]
 
 
 def _cpt_row_prob(net, var: int, assignment) -> float:

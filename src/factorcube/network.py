@@ -212,8 +212,10 @@ def validate_query(net: BeliefNet, query: QuerySpec) -> list[Violation]:
 
 
 def relevant_factors(net: BeliefNet, query: QuerySpec) -> set[int]:
-    """Ids whose CPTs can influence the query: the ancestral closure of the
-    query variable and the evidence variables (barren nodes drop out)."""
+    """The ancestral closure of the query variable and the evidence
+    variables (barren nodes drop out).  Its CPTs define the paper's
+    instances; it is a superset of the requisite CPTs
+    (`requisite_factors`)."""
     todo = [query.query_var, *query.evidence]
     closure: set[int] = set()
     while todo:
@@ -223,6 +225,48 @@ def relevant_factors(net: BeliefNet, query: QuerySpec) -> set[int]:
         closure.add(v)
         todo.extend(net.parents[v])
     return closure
+
+
+def requisite_factors(net: BeliefNet, query: QuerySpec) -> list[int]:
+    """Ids, ascending, of the CPTs that P(query | evidence) needs: the
+    nodes one Bayes-ball pass from the query variable marks on top
+    (Shachter, "Bayes-Ball: The Rational Pastime", UAI 1998).
+
+    An unobserved node visited from a child passes the ball to its parents
+    and children, one visited from a parent to its children; an observed
+    node passes it to its parents when visited from a parent, and stops it
+    otherwise.  A node that passes to its parents is on top.  Each node is
+    marked on top and at the bottom at most once, so the pass is linear.
+
+    The ids are a subset of `relevant_factors`.  A CPT the pass drops
+    cannot change the posterior, but a zero in it can make the evidence
+    impossible; so if any dropped CPT has an entry that is not strictly
+    positive, the whole ancestral closure is returned instead.
+    """
+    children: list[list[int]] = [[] for _ in net.parents]
+    for v, ps in enumerate(net.parents):
+        for p in ps:
+            children[p].append(v)
+    top: set[int] = set()
+    bottom: set[int] = set()
+    todo = [(query.query_var, True)]  # (node, visited from a child)
+    while todo:
+        v, from_child = todo.pop()
+        if v in query.evidence:
+            if not from_child and v not in top:
+                top.add(v)
+                todo.extend((p, True) for p in net.parents[v])
+            continue
+        if from_child and v not in top:
+            top.add(v)
+            todo.extend((p, True) for p in net.parents[v])
+        if v not in bottom:
+            bottom.add(v)
+            todo.extend((c, False) for c in children[v])
+    closure = relevant_factors(net, query)
+    if any(not net.cpts[v].min() > 0.0 for v in closure - top):
+        return sorted(closure)
+    return sorted(top)
 
 
 def _arc_capacity(n: int) -> int:

@@ -171,6 +171,23 @@ def test_query_impossible_evidence_is_validation_error(tmp_path, capsys):
     assert "zero" in err and out == ""
 
 
+def test_query_impossible_evidence_behind_a_d_separation(tmp_path, capsys):
+    # C is observed 1, which it never takes, and only C's parent B links it
+    # to the query A: Bayes-ball drops B and C, but the evidence is still
+    # impossible
+    net = network.BeliefNet(
+        (network.Variable(0, "A", 2), network.Variable(1, "B", 2),
+         network.Variable(2, "C", 2)),
+        ((), (), (1,)),
+        (np.array([0.5, 0.5]), np.array([0.4, 0.6]), np.array([1.0, 0.0, 1.0, 0.0])),
+    )
+    path = tmp_path / "net.json"
+    network.save_net(net, network.QuerySpec(0, {2: 1}), path)
+    code, out, err = run(capsys, "query", str(path))
+    assert code == EXIT_VALIDATION
+    assert "zero" in err and out == ""
+
+
 def test_query_oracle_check_sweep(tmp_path, capsys):
     for i in range(1, 11):
         net, q = network.random_net(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, cp_shape, enumerate_posterior, small_net
+from conftest import SMALL_PARAMS, build_instance, cp_shape, enumerate_posterior, small_net
 from factorcube import costmodel, factoring, network
 from factorcube import factors as fa
 from factorcube.factoring import (
@@ -762,6 +762,95 @@ def test_evaluate_checks_leaf_scopes():
     tree = build_set_factoring([(0, 1)], B2, 0)
     with pytest.raises(ValueError):
         evaluate_tree(tree, [fa.Factor((0,), np.ones(2))])
+
+
+# -- requisite pruning -------------------------------------------------------
+
+def binary_net(parents, cpts):
+    return network.BeliefNet(
+        tuple(network.Variable(v, f"n{v}", 2) for v in range(len(parents))),
+        tuple(parents),
+        tuple(np.asarray(t, dtype=float) for t in cpts),
+    )
+
+
+def closure_posterior(net, query, heuristic):
+    """(posterior, tree) over every CPT of the ancestral closure."""
+    scopes, cards, _ = factoring.scopes_for_query(net, query)
+    tree = factoring.build_tree(heuristic, scopes, cards, query.query_var)
+    return evaluate_tree(tree, fa.query_factors(net, query)), tree
+
+
+def test_pruning_changes_the_tree_not_the_answer():
+    # query n1 has parents n0 and observed n5 and an observed child n6.
+    # n2 is observed, d-separated from n1 through its unobserved root n3;
+    # n4 is observed and its one parent, n5, is observed too.  The closure
+    # holds all seven CPTs; P(n1 | evidence) needs those of n0, n1 and n6.
+    net = binary_net(
+        [(), (0, 5), (3,), (), (5,), (), (1,)],
+        [[0.3, 0.7], [0.9, 0.1, 0.4, 0.6, 0.25, 0.75, 0.6, 0.4],
+         [0.2, 0.8, 0.7, 0.3], [0.55, 0.45], [0.35, 0.65, 0.8, 0.2],
+         [0.1, 0.9], [0.95, 0.05, 0.3, 0.7]],
+    )
+    query = network.QuerySpec(1, {2: 1, 4: 0, 5: 1, 6: 0})
+    assert network.relevant_factors(net, query) == set(range(7))
+    ids = network.requisite_factors(net, query)
+    assert ids == [0, 1, 6]
+    oracle = fa.brute_force_posterior(net, query)
+    for heuristic in factoring.HEURISTICS:
+        scopes, cards, _ = factoring.scopes_for_query(net, query, ids)
+        pruned = factoring.build_tree(heuristic, scopes, cards, query.query_var)
+        full, tree = closure_posterior(net, query, heuristic)
+        assert pruned.leaf_count == 3 < tree.leaf_count == 7
+        got = factoring.posterior(net, query, heuristic)
+        np.testing.assert_allclose(got.table, full.table, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.table, oracle.table, rtol=0, atol=1e-9)
+
+
+def d_separated_evidence_net(observed_cpt):
+    # query n0 is a root; observed n2 is a child of the root n1 only
+    return binary_net([(), (), (1,)], [[0.3, 0.7], [0.4, 0.6], observed_cpt])
+
+
+@pytest.mark.parametrize("heuristic", factoring.HEURISTICS)
+@pytest.mark.parametrize("observed_cpt, ids", [
+    ([0.9, 0.1, 0.2, 0.8], [0]),  # the pass drops n1 and n2
+    ([1.0, 0.0, 0.2, 0.8], [0, 1, 2]),  # a zero in n2's CPT keeps the closure
+])
+def test_d_separated_evidence_leaves_the_prior(heuristic, observed_cpt, ids):
+    net = d_separated_evidence_net(observed_cpt)
+    query = network.QuerySpec(0, {2: 1})
+    assert network.requisite_factors(net, query) == ids
+    got = factoring.posterior(net, query, heuristic)
+    np.testing.assert_allclose(got.table, [0.3, 0.7], rtol=0, atol=1e-12)
+    want = fa.brute_force_posterior(net, query)
+    np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("heuristic", factoring.HEURISTICS)
+def test_impossible_evidence_behind_a_d_separation(heuristic):
+    # P(n2 = 1 | n1) = 0 for both n1: the pass drops n1 and n2, and the
+    # zero in n2's CPT sends the whole closure to the evaluator
+    net = d_separated_evidence_net([1.0, 0.0, 1.0, 0.0])
+    query = network.QuerySpec(0, {2: 1})
+    assert network.requisite_factors(net, query) == [0, 1, 2]
+    with pytest.raises(fa.InconsistentEvidenceError):
+        factoring.posterior(net, query, heuristic)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**63 - 1))
+def test_requisite_pruning_keeps_the_posterior(seed):
+    net, query = network.random_net(network.NetGenParams(seed=seed, **SMALL_PARAMS))
+    ids = network.requisite_factors(net, query)
+    assert ids == sorted(set(ids))
+    assert set(ids) <= network.relevant_factors(net, query)
+    oracle = fa.brute_force_posterior(net, query)
+    for heuristic in factoring.HEURISTICS:
+        got = factoring.posterior(net, query, heuristic)
+        full, _ = closure_posterior(net, query, heuristic)
+        np.testing.assert_allclose(got.table, full.table, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.table, oracle.table, rtol=0, atol=1e-9)
 
 
 # -- stats -------------------------------------------------------------------
