@@ -162,14 +162,13 @@ def choose_split(shared, only1, only2, cards, size1: int, size2: int, n_u: int):
     entries each worker is sent: one slice of each input.
     """
     split = []
-    capacity = k1 = k2 = 1
+    capacity = 1
     for v in shared:
         if capacity >= n_u:
             break
         split.append(v)
         capacity *= cards[v]
-        k1 *= cards[v]
-        k2 *= cards[v]
+    k1 = k2 = capacity  # a shared variable slices both inputs
     only1 = iter(only1)
     only2 = iter(only2)
     next1 = next(only1, None)
@@ -226,6 +225,7 @@ def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
     m = shape.multiply_count
     rsize = shape.result_size
     n_u = processor_count(m, rsize, machine)
+    sequential = bca_time(m, rsize, 1, 0, machine)
     split, b_d, b_result = (), 0, 0
     if n_u > 1:
         mask1 = shape.mask1
@@ -238,12 +238,12 @@ def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
             factoring._bits(mask2 & ~mask1 & kept),
             columns.cards, shape.size1, shape.size2, n_u,
         )
-        split = tuple(columns.vars[col] for col in split)
+        split = tuple(map(columns.vars.__getitem__, split))
         b_d = machine.bytes_per_entry * entries
         b_result = machine.bytes_per_entry * rsize
-    t_s = bca_time(m, rsize, 1, 0, machine)[3]
-    w, c_d, c_r, t_p = bca_time(m, rsize, n_u, b_d, machine)
-    return CpCost(t_s, t_p, w, c_d, c_r, n_u, shape, split, b_d, b_result)
+    # a product on one processor is priced once
+    w, c_d, c_r, t_p = bca_time(m, rsize, n_u, b_d, machine) if n_u > 1 else sequential
+    return CpCost(sequential[3], t_p, w, c_d, c_r, n_u, shape, split, b_d, b_result)
 
 
 def query_costs(tree, machine: MachineParams) -> QueryCost:

@@ -14,11 +14,11 @@ worst-case comparator that just folds factors left to right.
 """
 
 import bisect
-import functools
 import heapq
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -154,6 +154,10 @@ def _bits(mask: int):
         mask ^= low
 
 
+# maps the binary digits "0" and "1" to the bytes 0 and 1
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 class _Columns:
     """Scope algebra over a fixed set of variables.
 
@@ -163,7 +167,8 @@ class _Columns:
     `cards` hold each column's variable and cardinality, `bit` each
     variable's bit.  `card_groups` holds, per distinct cardinality c in
     ascending order, the mask of its columns and the powers c**0 ... c**n
-    for its n columns.
+    for its n columns.  With one cardinality (every generated net is
+    binary), `size` and `cards_of` read a mask's bit count alone.
     """
 
     def __init__(self, cards: dict[int, int]):
@@ -177,6 +182,10 @@ class _Columns:
             (group, [card ** e for e in range(group.bit_count() + 1)])
             for card, group in sorted(groups.items())
         ]
+        if len(self.card_groups) == 1:
+            powers = self.card_groups[0][1]
+            self.size = lambda mask: powers[mask.bit_count()]
+            self.cards_of = int.bit_count
 
     def mask(self, scope) -> int:
         mask = 0
@@ -185,7 +194,9 @@ class _Columns:
         return mask
 
     def vars_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(self.vars[col] for col in _bits(mask))
+        """The variables of mask, ascending: column i is kept when binary
+        digit i of mask is 1."""
+        return tuple(compress(self.vars, bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)))
 
     def size(self, mask: int) -> int:
         """Joint cardinality of the variables in mask."""
@@ -193,6 +204,12 @@ class _Columns:
         for group, powers in self.card_groups:
             out *= powers[(mask & group).bit_count()]
         return out
+
+    def cards_of(self, mask: int):
+        """The cardinalities of mask's variables in column order, as a
+        hashable value; with one cardinality, their count fixes them."""
+        cards = self.cards
+        return tuple(cards[col] for col in _bits(mask))
 
     def shape(self, mask1: int, size1: int, mask2: int, size2: int,
               kept: int, result_size: int) -> CpShape:
@@ -211,12 +228,13 @@ class _BuildState:
     keeps which nodes are active.
 
     Node scopes are bitmasks over `cols`, the column table of the
-    instance's variables.  `count` holds, per column, how many active
-    nodes hold that variable.  `sizes` holds each node's table size and
+    instance's variables.  `count` holds, per column of a variable that
+    has not died, the query's excepted, how many active nodes hold it;
+    `held_once` and `held_twice` are the masks of those columns held by
+    one and by two active nodes.  `sizes` holds each node's table size and
     `reduced` its size after summing out the variables only it holds,
     which is what it keeps in a product with a node it shares no variable
-    with.  `bounds` holds the set-factoring-c bound entry of each
-    (multiply count, result size) priced so far.
+    with.
     """
 
     def __init__(self, scopes, cards, query_var):
@@ -232,24 +250,18 @@ class _BuildState:
         for mask in self.masks:
             for col in _bits(mask):
                 self.count[col] += 1
-        self.query_col = cols.bit[query_var].bit_length() - 1
+        self.query_bit = cols.bit[query_var]
         self.held_once = self.held_twice = 0
-        for col in range(len(cols.vars)):
-            self._recount(col)
+        for col, count in enumerate(self.count):
+            if count == 1:
+                self.held_once |= 1 << col
+            elif count == 2:
+                self.held_twice |= 1 << col
+        self.held_once &= ~self.query_bit
+        self.held_twice &= ~self.query_bit
         self.sizes = [self.size(mask) for mask in self.masks]
         self.reduced = [self.size(mask & ~self.held_once) for mask in self.masks]
         self.class_ids: dict[tuple, int] = {}
-        self.bounds: dict[tuple[int, int], tuple[float, bool]] = {}
-
-    def _recount(self, col: int) -> None:
-        bit = 1 << col
-        self.held_once &= ~bit
-        self.held_twice &= ~bit
-        if col != self.query_col:
-            if self.count[col] == 1:
-                self.held_once |= bit
-            elif self.count[col] == 2:
-                self.held_twice |= bit
 
     def node_class(self, x: int) -> int:
         """Class of active node x, as a small integer: its table size and
@@ -257,9 +269,7 @@ class _BuildState:
         product with a node it shares no variable with.  Every key of a
         pair that shares no variable, exact or bound, depends only on the
         classes of its lower and its higher node."""
-        kept = self.masks[x] & ~self.held_once
-        cards = self.cols.cards
-        key = (self.sizes[x], tuple(cards[col] for col in _bits(kept)))
+        key = (self.sizes[x], self.cols.cards_of(self.masks[x] & ~self.held_once))
         return self.class_ids.setdefault(key, len(self.class_ids))
 
     def _dead(self, mask_a: int, mask_b: int) -> int:
@@ -269,24 +279,12 @@ class _BuildState:
         The query variable never dies."""
         return (mask_a ^ mask_b) & self.held_once | mask_a & mask_b & self.held_twice
 
-    @staticmethod
-    def work_entry(m: int, rsize: int, a: int, b: int, cls_pair):
-        """Heap entry of the pair a < b keyed on work, always exact: its
-        multiply count m and result size rsize."""
-        return m, rsize, a, b, True, cls_pair
-
-    def time_entry(self, m: int, rsize: int, a: int, b: int, cls_pair, machine):
-        """Heap entry of the pair a < b, of multiply count m and result
-        size rsize, keyed on a lower bound of its modeled time: `bca_time`
-        with nothing distributed (b_d = 0), which never exceeds the exact
-        t_p and equals it on one processor.  The bound depends only on
-        (m, rsize), so each distinct one is priced once per build."""
-        bound = self.bounds.get((m, rsize))
-        if bound is None:
-            n_u = costmodel.processor_count(m, rsize, machine)
-            bound = costmodel.bca_time(m, rsize, n_u, 0, machine)[3], n_u == 1
-            self.bounds[m, rsize] = bound
-        return bound[0], rsize, a, b, bound[1], cls_pair
+    def work_key(self, a: int, b: int) -> tuple[int, int]:
+        """(multiply count, result size) of the product of nodes a and b."""
+        mask_a = self.masks[a]
+        mask_b = self.masks[b]
+        union = mask_a | mask_b
+        return self.size(union), self.size(union & ~self._dead(mask_a, mask_b))
 
     def time_key(self, a: int, b: int, machine) -> tuple[float, int]:
         """(modeled parallel time, result size) of the product of nodes a
@@ -307,18 +305,20 @@ class _BuildState:
         dead = self._dead(mask_a, mask_b)
         kept = (mask_a | mask_b) & ~dead
         self.nodes.append(EvalNode(None, a, b, self.cols.vars_of(kept)))
-        new_id = len(self.nodes) - 1
         self.masks.append(kept)
         self.sizes.append(self.size(kept))
-        # kept variables of both inputs lose one holder; dead ones lose all
-        for col in _bits(mask_a & mask_b & kept):
-            self.count[col] -= 1
-            self._recount(col)
-        for col in _bits(dead):
-            self.count[col] = 0
-            self._recount(col)
+        # dead variables lose every holder.  A kept variable of both inputs
+        # loses one: held twice it would have died, so it goes from three
+        # holders or more to two or more, and never becomes held once
+        self.held_once &= ~dead
+        self.held_twice &= ~dead
+        count = self.count
+        for col in _bits(mask_a & mask_b & kept & ~self.query_bit):
+            count[col] -= 1
+            if count[col] == 2:
+                self.held_twice |= 1 << col
         self.reduced.append(self.size(kept & ~self.held_once))
-        return new_id
+        return len(self.nodes) - 1
 
     def finish(self) -> EvalTree:
         """The tree rooted at the last node made."""
@@ -330,15 +330,39 @@ class _BuildState:
         )
 
 
-def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
+class _TimeBounds(dict):
+    """The set-factoring-c lower bound of a pair's key, by its (multiply
+    count, result size): (bound, exact), where bound is `bca_time` with
+    nothing distributed (b_d = 0), which never exceeds the exact t_p, and
+    exact is true on one processor, where the two are equal.  Each
+    distinct (multiply count, result size) is priced once, when first
+    looked up."""
+
+    def __init__(self, machine):
+        super().__init__()
+        self.machine = machine
+
+    def __missing__(self, key):
+        m, rsize = key
+        n_u = costmodel.processor_count(m, rsize, self.machine)
+        t_p = costmodel.bca_time(m, rsize, n_u, 0, self.machine)[3]
+        self[key] = t_p, n_u == 1
+        return t_p, n_u == 1
+
+
+def _greedy(state: _BuildState, bounds, exact_key) -> EvalTree:
     """Combine the active pair with the least (key, result size, lower id,
     higher id) until one node remains.
 
-    `entry(m, rsize, a, b, cls_pair)` gives the entry (bound, result size,
-    a, b, exact, cls_pair) of a pair a < b of multiply count m and result
-    size rsize, where bound is at most the pair's key and equals it when
-    exact is true; `exact_key(a, b)` gives the (key, result size) of a pair
-    whose entry is not exact.  An inexact entry on top is replaced by its
+    A pair a < b has the heap entry (bound, size bound, a, b, exact,
+    cls_pair), whose (bound, size bound) is at most the pair's (key, result
+    size) and equals it when exact is true; `exact_key(a, b)` gives the
+    (key, result size) of a pair whose entry is not exact.  With `bounds`
+    None the key is the multiply count m: a class pair's entry is exact,
+    and a pair that shares a variable enters as (m, 0), so that its result
+    size is worked out only if it reaches the top.  Otherwise the key is a
+    time and `bounds[m, rsize]` gives (bound, exact) for a pair of result
+    size rsize.  An inexact entry on top is replaced by its
     exact one; an exact entry on top that names a live pair is the least
     live pair, since every other live pair's key is at least some entry's.
     Only the top pairs are ever keyed exactly.
@@ -386,7 +410,6 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
     """
     masks = state.masks
     size = state.size
-    dead = state._dead
     sizes = state.sizes
     reduced = state.reduced
     classes: list[int] = []  # per node id; nodes enter in id order
@@ -432,6 +455,13 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
             current[cls_pair] = e = (e[0], e[1], *pair, e[4], cls_pair)
             heapq.heappush(heap, e)
 
+    def entry(m: int, rsize: int, a: int, b: int, cls_pair):
+        """The entry of a pair of multiply count m and result size rsize."""
+        if bounds is None:
+            return m, rsize, a, b, True, cls_pair
+        bound, exact = bounds[m, rsize]
+        return bound, rsize, a, b, exact, cls_pair
+
     def enter(n: int) -> None:
         """Enter the pairs of node n, the highest, with every active node:
         a sharing entry for each node that shares a variable with n, and a
@@ -439,6 +469,9 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
         mask_n = masks[n]
         cls_n = state.node_class(n)
         classes.append(cls_n)
+        # the rule of `_BuildState._dead`, inline; no count changes while n enters
+        once = state.held_once
+        twice = state.held_twice
         entries = []
         for cls, xs in members.items():
             cls_pair = None
@@ -446,8 +479,11 @@ def _greedy(state: _BuildState, entry, exact_key) -> EvalTree:
                 mask_x = masks[x]
                 if mask_x & mask_n:
                     union = mask_x | mask_n
-                    kept = union & ~dead(mask_x, mask_n)
-                    entries.append(entry(size(union), size(kept), x, n, None))
+                    if bounds is None:
+                        entries.append((size(union), 0, x, n, False, None))
+                    else:
+                        kept = union & ~((mask_x ^ mask_n) & once | mask_x & mask_n & twice)
+                        entries.append(entry(size(union), size(kept), x, n, None))
                 elif cls_pair is None:
                     cls_pair = (cls, cls_n)
                     cur = current.get(cls_pair)
@@ -512,7 +548,7 @@ def build_set_factoring(scopes, cards, query_var) -> EvalTree:
     position."""
     _check_instance(scopes, cards, query_var)
     state = _BuildState(scopes, cards, query_var)
-    return _greedy(state, state.work_entry, None)
+    return _greedy(state, None, state.work_key)
 
 
 def build_set_factoring_c(scopes, cards, query_var, machine) -> EvalTree:
@@ -520,11 +556,8 @@ def build_set_factoring_c(scopes, cards, query_var, machine) -> EvalTree:
     candidate product under the broadcast-compute-aggregate machine."""
     _check_instance(scopes, cards, query_var)
     state = _BuildState(scopes, cards, query_var)
-    return _greedy(
-        state,
-        functools.partial(state.time_entry, machine=machine),
-        functools.partial(state.time_key, machine=machine),
-    )
+    return _greedy(state, _TimeBounds(machine),
+                   lambda a, b: state.time_key(a, b, machine))
 
 
 def build_chain_baseline(scopes, cards, query_var) -> EvalTree:

@@ -6,6 +6,7 @@ they can act as ground truth for it.
 """
 
 import itertools
+import json
 import math
 
 import pytest
@@ -27,6 +28,20 @@ def small_net(index: int, master: int = SMALL_MASTER):
     return network.random_net(
         network.NetGenParams(seed=net_seed(master, index), **SMALL_PARAMS)
     )
+
+
+def write_golden(path, digests: dict[str, str]) -> None:
+    """Record digests in the golden file at path.  Before it writes, it
+    prints each case id whose digest changes (new, changed or dropped)
+    and their count, so that a run meant to change nothing shows it."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    changed = sorted(k for k in old.keys() | digests.keys() if old.get(k) != digests.get(k))
+    for case_id in changed:
+        print(f"changed: {case_id}")
+    print(f"{len(changed)} of {len(digests)} digests change in {path.name}")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {path}")
 
 
 def enumerate_posterior(factors, query_var: int, cards: dict[int, int]):

@@ -13,6 +13,8 @@ n2000-s1   2000 nodes, seed 1: 156 arcs added.
 To record the digests again, run this file as a script:
 `PYTHONPATH=src python tests/test_golden_nets.py`.  Only do so when a
 change of net is intended, and say why where the change is described.
+Before it writes, the script prints the case ids whose digests change,
+and their count.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_golden
 from factorcube import network
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_nets.json"
@@ -54,6 +57,4 @@ if __name__ == "__main__":
         case: net_digest(*network.random_net(params))
         for case, params in CASES.items()
     }
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    write_golden(GOLDEN, digests)

@@ -13,6 +13,8 @@ nonbinary   `details_csv` of the rows of the 60 non-binary instances of
 To record the digests again, run this file as a script:
 `PYTHONPATH=src python tests/test_golden_tables.py`.  Only do so when a
 change of table is intended, and say why where the change is described.
+Before it writes, the script prints the case ids whose digests change,
+and their count.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from conftest import write_golden
 from factorcube import cli, factoring, metrics, network
 from test_golden_trees import MACHINES, PROTOCOL_MASTER, nonbinary_instance
 
@@ -82,7 +85,4 @@ if __name__ == "__main__":
     for name in MACHINES:
         digests.update(experiment_digests(name))
         digests.update(nonbinary_digests(name))
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    write_golden(GOLDEN, digests)

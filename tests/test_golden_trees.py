@@ -14,6 +14,8 @@ nonbinary  60 seeded random instances with cardinalities 2-5, keyed on
 To record the digests again, run this file as a script:
 `PYTHONPATH=src python tests/test_golden_trees.py`.  Only do so when a
 change of tree is intended, and say why where the change is described.
+Before it writes, the script prints the case ids whose digests change,
+and their count.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ import json
 import random
 from pathlib import Path
 
+from conftest import write_golden
 from factorcube import costmodel, factoring, network
 from factorcube.cli import net_seed
 
@@ -146,12 +149,19 @@ def test_set_factoring_c_keys_few_pairs_exactly(monkeypatch):
     assert 0 < calls <= 2 * (len(scopes) - 1)
 
 
+def test_write_golden_names_the_changed_cases(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"a": "1", "b": "2", "c": "3"}), encoding="utf-8")
+    write_golden(path, {"a": "1", "b": "9", "d": "4"})
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["changed: b", "changed: c", "changed: d",
+                       "3 of 3 digests change in golden.json"]
+    assert json.loads(path.read_text(encoding="utf-8")) == {"a": "1", "b": "9", "d": "4"}
+
+
 if __name__ == "__main__":
     digests = {}
     for cases in (protocol_cases(), large_cases(), k653_cases(), nonbinary_cases()):
         for case_id, build in cases:
             digests[case_id] = tree_digest(build())
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    write_golden(GOLDEN, digests)
