@@ -138,7 +138,7 @@ def cmd_plan(args) -> int:
     stats = factoring.tree_stats(tree)
     summary = (
         f"heuristic={args.heuristic} factors={tree.leaf_count} "
-        f"cps={stats.cp_count} dm={stats.dm} md={stats.md} dd={stats.dd:.2f}"
+        f"cps={tree.cp_count} dm={stats.dm} md={stats.md} dd={stats.dd:.2f}"
     )
     if args.out:
         factoring.save_tree(tree, args.out)

@@ -75,7 +75,11 @@ def machine_from_dict(obj: dict) -> MachineParams:
             raise ValueError(f"machine key {key!r} must be an integer, got {value!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"machine key {key!r} must be a number, got {value!r}")
-        kwargs[key] = types[key](value)
+        try:
+            kwargs[key] = types[key](value)
+        except OverflowError:
+            # an integer too large for a float is no finite time
+            kwargs[key] = math.inf
     return MachineParams(**kwargs)
 
 
@@ -133,7 +137,6 @@ class QueryCost:
 
 @dataclass(frozen=True)
 class LongestPath:
-    cp_count: int
     seq_time: float
     par_time: float
     node_ids: tuple[int, ...]
@@ -295,7 +298,6 @@ def longest_path(tree, qc: QueryCost) -> LongestPath:
         node = tree.nodes[at]
         at = node.left if below[node.left] >= below[node.right] else node.right
     return LongestPath(
-        cp_count=len(path),
         seq_time=sum((cost[i].t_s for i in path), 0.0),
         par_time=sum((cost[i].t_p for i in path), 0.0),
         node_ids=tuple(path),

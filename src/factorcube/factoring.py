@@ -51,8 +51,11 @@ class EvalNode:
 class EvalTree:
     query_var: int
     var_cards: tuple[tuple[int, int], ...]  # (variable id, cardinality), sorted
-    nodes: tuple[EvalNode, ...]  # leaves first, products in creation order
-    root: int
+    nodes: tuple[EvalNode, ...]  # children before parents; the last is the root
+
+    @property
+    def root(self) -> int:
+        return len(self.nodes) - 1
 
     def sum_out(self, i: int) -> tuple[int, ...]:
         """What product node i sums out: the variables its children hold
@@ -73,22 +76,17 @@ class EvalTree:
 @dataclass(frozen=True)
 class CpShape:
     """One conformal product as scope bitmasks over a column table, with
-    its dimensions and sizes.
+    its table sizes.
 
-    mask1/mask2 are the inputs' scopes and kept the result's; d1, d2, u
-    and r count the variables of the inputs, their union and the result;
-    size1, size2 and result_size are table sizes, multiply_count is the
-    union's joint cardinality.
+    mask1/mask2 are the inputs' scopes and kept the result's, so their bit
+    counts are the product's dimensions; size1, size2 and result_size are
+    table sizes, multiply_count is the union's joint cardinality.
     """
 
     columns: "_Columns"
     mask1: int
     mask2: int
     kept: int
-    d1: int
-    d2: int
-    u: int
-    r: int
     size1: int
     size2: int
     multiply_count: int
@@ -101,7 +99,6 @@ class TreeStats:
     dm: int
     md: int
     md_all: int
-    cp_count: int
 
     @property
     def dd(self) -> float:
@@ -211,17 +208,6 @@ class _Columns:
         cards = self.cards
         return tuple(cards[col] for col in _bits(mask))
 
-    def shape(self, mask1: int, size1: int, mask2: int, size2: int,
-              kept: int, result_size: int) -> CpShape:
-        """The product of tables over mask1 and mask2, of size1 and size2
-        entries, that keeps the variables of kept, result_size entries."""
-        union = mask1 | mask2
-        return CpShape(
-            self, mask1, mask2, kept,
-            mask1.bit_count(), mask2.bit_count(), union.bit_count(), kept.bit_count(),
-            size1, size2, self.size(union), result_size,
-        )
-
 
 class _BuildState:
     """The nodes of a build and what its active ones hold; the caller
@@ -291,10 +277,10 @@ class _BuildState:
         and b: the t_p `costmodel.parallel_cp_cost` gives its shape."""
         mask_a = self.masks[a]
         mask_b = self.masks[b]
-        kept = (mask_a | mask_b) & ~self._dead(mask_a, mask_b)
-        shape = self.cols.shape(
-            mask_a, self.sizes[a], mask_b, self.sizes[b], kept, self.size(kept)
-        )
+        union = mask_a | mask_b
+        kept = union & ~self._dead(mask_a, mask_b)
+        shape = CpShape(self.cols, mask_a, mask_b, kept, self.sizes[a], self.sizes[b],
+                        self.size(union), self.size(kept))
         return costmodel.parallel_cp_cost(shape, machine).t_p, shape.result_size
 
     def combine(self, a: int, b: int) -> int:
@@ -326,7 +312,6 @@ class _BuildState:
             self.query_var,
             tuple(zip(self.cols.vars, self.cols.cards)),
             tuple(self.nodes),
-            len(self.nodes) - 1,
         )
 
 
@@ -587,9 +572,11 @@ def tree_stats(tree: EvalTree) -> TreeStats:
     """Per-product shapes plus the dimension summary, from one walk over
     the nodes.
 
-    dm is the largest product dimension in the tree; md is max(d1, d2, r)
-    at a product of that dimension (largest such value if several products
-    tie); md_all is the same maximum taken over every product.
+    A product's dimensions are the bit counts of its masks: d1 and d2 of
+    its inputs', u of their union's and r of its result's.  dm is the
+    largest u in the tree; md is max(d1, d2, r) at a product of that
+    dimension (largest such value if several products tie); md_all is the
+    same maximum taken over every product.
     """
     cols = _Columns(dict(tree.var_cards))
     masks = []
@@ -603,27 +590,30 @@ def tree_stats(tree: EvalTree) -> TreeStats:
         sizes.append(size)
         if node.is_leaf:
             continue
-        sh = cols.shape(masks[node.left], sizes[node.left],
-                        masks[node.right], sizes[node.right], mask, size)
-        shapes.append(sh)
-        node_md = max(sh.d1, sh.d2, sh.r)
+        mask1, mask2 = masks[node.left], masks[node.right]
+        union = mask1 | mask2
+        shapes.append(CpShape(cols, mask1, mask2, mask, sizes[node.left],
+                              sizes[node.right], cols.size(union), size))
+        u = union.bit_count()
+        node_md = max(mask1.bit_count(), mask2.bit_count(), mask.bit_count())
         md_all = max(md_all, node_md)
-        if sh.u > dm:
-            dm = sh.u
+        if u > dm:
+            dm = u
             md = node_md
-        elif sh.u == dm:
+        elif u == dm:
             md = max(md, node_md)
-    return TreeStats(tuple(shapes), dm, md, md_all, len(shapes))
+    return TreeStats(tuple(shapes), dm, md, md_all)
 
 
 def check_tree(tree: EvalTree) -> None:
     """ValueError unless the tree is a valid evaluation tree: each variable
-    declared once with cardinality at least 1; one tree, children before
-    parents, which is the order every pass over the node list relies on;
-    each factor, a number from 0, in one leaf; every scope strictly
-    ascending and only over declared variables, a product's only over what
-    its children hold; a root that holds the query variable; and, below a
-    product root, every variable but the query summed out exactly once."""
+    declared once with cardinality at least 1; at least one node; one tree,
+    children before parents, which is the order every pass over the node
+    list relies on, so its root is the last node; each factor, a number
+    from 0, in one leaf; every scope strictly ascending and only over
+    declared variables, a product's only over what its children hold; a
+    root that holds the query variable; and, below a product root, every
+    variable but the query summed out exactly once."""
     cards = {}
     for v, card in tree.var_cards:
         if v in cards:
@@ -631,6 +621,8 @@ def check_tree(tree: EvalTree) -> None:
         if card < 1:
             raise ValueError(f"variable {v} has cardinality {card}, below 1")
         cards[v] = card
+    if not tree.nodes:
+        raise ValueError("the tree has no nodes")
     factors_used = set()
     children = set()
     summed = set()
@@ -664,9 +656,8 @@ def check_tree(tree: EvalTree) -> None:
             if v in summed:
                 raise ValueError(f"variable {v} is summed out twice")
             summed.add(v)
-    if not 0 <= tree.root < len(tree.nodes):
-        raise ValueError(f"root {tree.root} is not a node")
-    if tree.root in children or len(children) != len(tree.nodes) - 1:
+    # the last node is no node's child, so the other nodes all are
+    if len(children) != len(tree.nodes) - 1:
         raise ValueError(f"not every node is below root {tree.root}")
     root = tree.nodes[tree.root]
     if tree.query_var not in root.scope:
@@ -724,7 +715,7 @@ def _regroup(tree: EvalTree) -> EvalTree:
         if node.factor is None and (pq := split(node)):
             bvars, lvars = nodes[pq[0]].scope, nodes[pq[1]].scope
             if (len(node.scope) > len(bvars) and deferrable(first, bvars)
-                    and not set(lvars) <= set(bvars) and size(lvars) <= size(bvars)):
+                    and size(lvars) <= size(bvars)):
                 break
     else:
         return tree
@@ -777,7 +768,7 @@ def _regroup(tree: EvalTree) -> EvalTree:
                 if c in runs:
                     new[c] = replay(*runs.pop(c))
         new[i] = emit(new[node.left], new[node.right], node.scope)
-    return EvalTree(tree.query_var, tree.var_cards, tuple(out), new[tree.root])
+    return EvalTree(tree.query_var, tree.var_cards, tuple(out))
 
 
 def evaluate_tree(
@@ -888,7 +879,8 @@ def load_tree(path) -> EvalTree:
 def tree_from_obj(obj, path) -> EvalTree:
     """The tree in the parsed JSON document of a tree file; path names the
     file in messages.  NetFormatError if the document is malformed, fails
-    `check_tree`, or lists a `sum_out` other than what its scopes give."""
+    `check_tree`, names a `root` other than its last node, or lists a
+    `sum_out` other than what its scopes give."""
     try:
         nodes = []
         listed = {}
@@ -906,12 +898,14 @@ def tree_from_obj(obj, path) -> EvalTree:
             json_int(obj["query_var"], "query_var"),
             tuple((json_int(v, "vars"), json_int(c, "vars")) for v, c in obj["vars"]),
             tuple(nodes),
-            json_int(obj["root"], "root"),
         )
+        root = json_int(obj["root"], "root")
     except (KeyError, TypeError, ValueError) as exc:
         raise network.NetFormatError(f"{path}: malformed tree file ({exc})") from exc
     try:
         check_tree(tree)
+        if root != tree.root:
+            raise ValueError(f"root is {root}, not the last node {tree.root}")
         for i, sum_out in listed.items():
             if sum_out != set(tree.sum_out(i)):
                 raise ValueError(

@@ -88,7 +88,7 @@ def build_report_rows(
         else:
             r_spdp, efficiency = 1.0, 1.0 / qc.n_u_query
         a_spdp = seq_time_best / t_p if t_p > 0 else 1.0
-        cp_count = stats.cp_count
+        cp_count = len(stats.shapes)
         para_cp = sum(1 for c in qc.per_cp if c.n_u > 1)
         lp_speedup = seq_time_best / lp.par_time if lp.par_time > 0 else 1.0
         rows[heuristic] = ReportRow(
@@ -121,11 +121,11 @@ def build_report_rows(
             mem_ratio=(dist_mem / memory) if memory > 0 else None,
             para_cp=para_cp,
             pct_cp=para_cp / cp_count if cp_count else 0.0,
-            lp_cp=lp.cp_count,
+            lp_cp=len(lp.node_ids),
             lp_seq_time=lp.seq_time,
             lp_par_time=lp.par_time,
             lp_speedup=lp_speedup,
-            lp_pct_cp=lp.cp_count / cp_count if cp_count else 0.0,
+            lp_pct_cp=len(lp.node_ids) / cp_count if cp_count else 0.0,
             pct_time=lp.par_time / t_p if t_p > 0 else 1.0,
         )
     return rows

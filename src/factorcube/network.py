@@ -491,8 +491,8 @@ def net_from_obj(obj, path) -> tuple[BeliefNet, QuerySpec]:
     )
     try:
         cpts = tuple(np.asarray(t, dtype=np.float64).ravel() for t in cpts_raw)
-    except (TypeError, ValueError) as exc:
-        raise NetFormatError(f"{path}: cpts must be flat numeric arrays") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NetFormatError(f"{path}: cpts must be flat numeric arrays ({exc})") from exc
     net = BeliefNet(tuple(variables), parents, cpts)
 
     qvar = _require(obj, "query", int, path)

@@ -14,7 +14,7 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_MASTER, build_instance
+from helpers import ACCEPTANCE_MASTER, build_instance
 from factorcube import costmodel, factoring, metrics, network
 from factorcube import factors as fa
 from factorcube.cli import main, net_seed

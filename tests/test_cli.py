@@ -587,6 +587,9 @@ def _net_doc(**fields):
 
 _ROW_SUM = _net_doc(cpts=[[0.5, 0.5], [0.9, 0.1, 0.2, 0.3]])
 
+# a 401-digit integer, too large for a float
+_HUGE = 10 ** 400
+
 
 @pytest.mark.parametrize("argv, doc, code, message", [
     pytest.param(("query", "{bad}"), _ROW_SUM, EXIT_VALIDATION,
@@ -606,6 +609,11 @@ _ROW_SUM = _net_doc(cpts=[[0.5, 0.5], [0.9, 0.1, 0.2, 0.3]])
                  "{bad}: parents[1] must be a list", id="parents-entry-not-list"),
     pytest.param(("query", "{bad}"), _net_doc(cpts=[["a", 0.5], [0.9, 0.1, 0.2, 0.8]]),
                  EXIT_PARSE, "{bad}: cpts must be flat numeric arrays", id="cpt-string"),
+    pytest.param(("query", "{bad}"), _net_doc(cpts=[[_HUGE, 0.5], [0.9, 0.1, 0.2, 0.8]]),
+                 EXIT_PARSE, "{bad}: cpts must be flat numeric arrays", id="cpt-huge-int-query"),
+    pytest.param(("validate", "{bad}"), _net_doc(cpts=[[_HUGE, 0.5], [0.9, 0.1, 0.2, 0.8]]),
+                 EXIT_PARSE, "{bad}: cpts must be flat numeric arrays",
+                 id="cpt-huge-int-validate"),
     pytest.param(("query", "{bad}"), _net_doc(evidence=[[1]]), EXIT_PARSE,
                  "{bad}: evidence[0] must be a [var, value] pair", id="evidence-not-pair"),
     pytest.param(("query", "{bad}"),
@@ -631,6 +639,12 @@ _ROW_SUM = _net_doc(cpts=[[0.5, 0.5], [0.9, 0.1, 0.2, 0.3]])
                  "{bad}: machine config must be an object", id="machine-list"),
     pytest.param(("simulate", "{good}", "--machine", "{bad}"), {"g_min": -1}, EXIT_USAGE,
                  "g_min must be non-negative", id="machine-negative-grainsize"),
+    pytest.param(("simulate", "{good}", "--machine", "{bad}"), {"alpha": _HUGE}, EXIT_USAGE,
+                 "machine key 'alpha' must be a finite non-negative time",
+                 id="machine-huge-int-time"),
+    pytest.param(("simulate", "{bad}"), _tree_doc([], 0, leaves=()), EXIT_PARSE,
+                 "{bad}: not a valid evaluation tree (the tree has no nodes)",
+                 id="tree-no-nodes"),
     pytest.param(("simulate", "{bad}"),
                  _tree_doc([(0, 1)], 2, leaves=((0, (0,)), (0, (0, 1)))), EXIT_PARSE,
                  "{bad}: not a valid evaluation tree (factor 0 is in more than one leaf)",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import build_instance, cp_shape, small_net
+from helpers import build_instance, cp_shape, small_net
 from factorcube import cli, costmodel, factoring, metrics, network
 from factorcube.costmodel import (
     DEFAULT_MACHINE,
@@ -347,7 +347,7 @@ def test_query_costs_sums_match_second_traversal(protocol_corpus):
 
 # -- the cost walk against an independent oracle ------------------------------
 
-SHAPE_INTS = ("d1", "d2", "u", "r", "size1", "size2", "multiply_count", "result_size")
+SHAPE_INTS = ("size1", "size2", "multiply_count", "result_size")
 
 ORACLE_MACHINES = (
     DEFAULT_MACHINE,
@@ -406,12 +406,15 @@ def oracle_costs(tree, machine):
 
 def walked_costs(tree, machine):
     """The same figures from `query_costs`: every CpCost field, the
-    shape's sizes in place of the shape."""
+    shape's sizes and its masks' bit counts in place of the shape."""
     qc = query_costs(tree, machine)
     per = []
     for c in qc.per_cp:
         got = {f.name: getattr(c, f.name) for f in fields(c) if f.name != "shape"}
         got.update((k, getattr(c.shape, k)) for k in SHAPE_INTS)
+        sh = c.shape
+        got.update(d1=sh.mask1.bit_count(), d2=sh.mask2.bit_count(),
+                   u=(sh.mask1 | sh.mask2).bit_count(), r=sh.kept.bit_count())
         per.append(got)
     return per, (qc.stats.dm, qc.stats.md, qc.stats.md_all)
 
@@ -485,7 +488,7 @@ def test_longest_path_of_chain_contains_every_product():
     tree = build_chain_baseline(scopes, B2, 0)
     qc = query_costs(tree, DEFAULT_MACHINE)
     lp = longest_path(tree, qc)
-    assert lp.cp_count == tree.cp_count == 3
+    assert len(lp.node_ids) == tree.cp_count == 3
     assert lp.seq_time == qc.t_s_query
     assert lp.par_time == qc.t_p_query
 
@@ -499,7 +502,7 @@ def test_longest_path_of_balanced_tree_is_depth():
     assert (0, 1) in kids and (2, 3) in kids
     lp = longest_path(tree, query_costs(tree, DEFAULT_MACHINE))
     assert tree.cp_count == 3
-    assert lp.cp_count == 2
+    assert len(lp.node_ids) == 2
 
 
 def test_longest_path_bounded_by_query_totals(protocol_corpus):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_PARAMS, build_instance, cp_shape, enumerate_posterior, small_net
+from helpers import SMALL_PARAMS, build_instance, cp_shape, enumerate_posterior, small_net
 from factorcube import costmodel, factoring, network
 from factorcube import factors as fa
 from factorcube.factoring import (
@@ -46,6 +46,11 @@ def test_single_factor_tree_is_a_leaf():
     tree = build_set_factoring([(0,)], B2, 0)
     assert tree.cp_count == 0
     assert tree.nodes[tree.root].scope == (0,)
+
+
+def test_check_tree_refuses_a_tree_without_nodes():
+    with pytest.raises(ValueError, match="no nodes"):
+        factoring.check_tree(factoring.EvalTree(0, ((0, 2),), ()))
 
 
 def test_build_requires_query_coverage():
@@ -555,7 +560,6 @@ def test_subnormal_product_keeps_the_scale_finite():
         var_cards=((0, 2), (1, 2)),
         nodes=tuple(factoring.EvalNode(i, None, None, f.vars) for i, f in enumerate(leaves))
         + (factoring.EvalNode(None, 0, 1, (0, 1)), factoring.EvalNode(None, 3, 2, (0,))),
-        root=4,
     )
     np.testing.assert_allclose(evaluate_tree(tree, leaves).table, [0.4, 0.6], rtol=1e-9)
 
@@ -611,7 +615,6 @@ def test_evaluation_peak_is_live_tables_plus_one_result():
         + (factoring.EvalNode(None, 0, 1, union),
            factoring.EvalNode(None, 4, 2, rest),
            factoring.EvalNode(None, 5, 3, (0,))),
-        root=6,
     )
     factoring.check_tree(tree)
     tracemalloc.start()
@@ -635,7 +638,7 @@ def hand_tree(leaf_scopes, products):
     nodes = [factoring.EvalNode(i, None, None, s) for i, s in enumerate(leaf_scopes)]
     nodes += [factoring.EvalNode(None, a, b, s) for a, b, s in products]
     var_cards = tuple((v, 2) for v in sorted({v for s in leaf_scopes for v in s}))
-    tree = factoring.EvalTree(0, var_cards, tuple(nodes), len(nodes) - 1)
+    tree = factoring.EvalTree(0, var_cards, tuple(nodes))
     factoring.check_tree(tree)
     leaves = [fa.Factor(s, rng.random((2,) * len(s)) + 0.1) for s in leaf_scopes]
     return tree, leaves
@@ -884,12 +887,19 @@ def test_requisite_pruning_keeps_the_posterior(seed):
 
 # -- stats -------------------------------------------------------------------
 
+def dims(sh):
+    """(d1, d2, u, r) of a product: the bit counts of its inputs' masks,
+    their union's and its result's."""
+    return (sh.mask1.bit_count(), sh.mask2.bit_count(),
+            (sh.mask1 | sh.mask2).bit_count(), sh.kept.bit_count())
+
+
 def test_tree_stats_hand_example():
     tree = build_set_factoring([(0, 1), (1, 2)], B2, 0)
     st = tree_stats(tree)
-    assert st.cp_count == 1
+    assert len(st.shapes) == 1
     sh = st.shapes[0]
-    assert (sh.d1, sh.d2, sh.u, sh.r) == (2, 2, 3, 1)
+    assert dims(sh) == (2, 2, 3, 1)
     assert tree.sum_out(tree.root) == (1, 2)
     assert (st.dm, st.md) == (3, 2)
     assert st.dd == pytest.approx(1 / 3)
@@ -897,7 +907,7 @@ def test_tree_stats_hand_example():
 
 def test_tree_stats_leaf_only():
     st = tree_stats(build_set_factoring([(0,)], B2, 0))
-    assert (st.dm, st.md, st.cp_count) == (0, 0, 0)
+    assert (st.dm, st.md, len(st.shapes)) == (0, 0, 0)
     assert st.dd == 0.0
 
 
@@ -912,11 +922,11 @@ def test_md_tie_break_takes_max():
     scopes = [(0, 1, 2), (0, 1, 2), (3, 4), (0, 3, 4)]
     tree = build_chain_baseline(scopes, B2, 0)
     st = tree_stats(tree)
-    dims = [sh.u for sh in st.shapes]
-    assert st.dm == max(dims)
-    mds = [max(sh.d1, sh.d2, sh.r) for sh in st.shapes if sh.u == st.dm]
+    shape_dims = [dims(sh) for sh in st.shapes]
+    assert st.dm == max(u for _, _, u, _ in shape_dims)
+    mds = [max(d1, d2, r) for d1, d2, u, r in shape_dims if u == st.dm]
     assert st.md == max(mds)
-    assert st.md_all == max(max(sh.d1, sh.d2, sh.r) for sh in st.shapes)
+    assert st.md_all == max(max(d1, d2, r) for d1, d2, _, r in shape_dims)
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_posterior, small_net
+from helpers import enumerate_posterior, small_net
 from factorcube import _kernels
 from factorcube import factors as fa
 from factorcube.factors import (
@@ -320,7 +320,7 @@ def test_sum_product_exchange(f1, f2):
 
 
 def test_enumeration_oracle_agrees_with_brute_force():
-    # the conftest enumerator (over conditioned factors) and the net-level
+    # the helpers enumerator (over conditioned factors) and the net-level
     # brute force must agree; both back later oracle tests
     for i in (2, 5, 9):
         net, q = small_net(i)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_golden
+from helpers import write_golden
 from factorcube import network
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_nets.json"

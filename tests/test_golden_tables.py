@@ -22,7 +22,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from conftest import write_golden
+from helpers import write_golden
 from factorcube import cli, factoring, metrics, network
 from test_golden_trees import MACHINES, PROTOCOL_MASTER, nonbinary_instance
 

@@ -23,7 +23,7 @@ import json
 import random
 from pathlib import Path
 
-from conftest import write_golden
+from helpers import write_golden
 from factorcube import costmodel, factoring, network
 from factorcube.cli import net_seed
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import factorcube
-from conftest import cp_shape
+from helpers import cp_shape
 from factorcube import _kernels, costmodel, factoring
 
 

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from conftest import build_instance, small_net
+from helpers import build_instance, small_net
 from factorcube import costmodel, factoring, metrics, network
 from factorcube.costmodel import DEFAULT_MACHINE, MachineParams
 from factorcube.metrics import (

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_posterior, small_net
+from helpers import enumerate_posterior, small_net
 from factorcube import factors as fa
 from factorcube import network
 from factorcube.network import (
