@@ -77,25 +77,18 @@ def _machine_from_args(args) -> costmodel.MachineParams:
     return machine
 
 
-def _gen_params(args) -> network.NetGenParams:
-    return network.NetGenParams(
+def cmd_gen(args) -> int:
+    net, query = network.random_net(network.NetGenParams(
         node_count_range=args.nodes,
         avg_arcs_range=args.arcs,
         obs_count_range=args.obs,
         seed=args.seed,
-    )
-
-
-def cmd_gen(args) -> int:
-    net, query = network.random_net(_gen_params(args))
-    if args.out:
-        network.save_net(net, query, args.out)
+    ))
+    network.save_net(net, query, args.out)
+    if args.out is not None:
         print(f"wrote {args.out}: {net.node_count} nodes, "
               f"{net.arc_count} arcs, {len(query.evidence)} observed, "
               f"query {query.query_var}")
-    else:
-        json.dump(network._net_to_obj(net, query), sys.stdout, indent=1)
-        sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -140,13 +133,8 @@ def cmd_plan(args) -> int:
         f"heuristic={args.heuristic} factors={tree.leaf_count} "
         f"cps={tree.cp_count} dm={stats.dm} md={stats.md} dd={stats.dd:.2f}"
     )
-    if args.out:
-        factoring.save_tree(tree, args.out)
-        print(summary)
-    else:
-        json.dump(factoring._tree_to_obj(tree), sys.stdout, indent=1)
-        sys.stdout.write("\n")
-        print(summary, file=sys.stderr)
+    factoring.save_tree(tree, args.out)
+    print(summary, file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK
 
 
@@ -272,9 +260,7 @@ def cmd_simulate(args) -> int:
     else:
         if args.heuristic:
             raise ValueError(f"--heuristic applies to net files only; {args.input} is a tree file")
-        tree = loaded
-        query = network.QuerySpec(tree.query_var, {})
-        rows = metrics.build_report_rows(None, query, {"tree": tree}, machine, 1)
+        rows = metrics.build_report_rows(None, None, {"tree": loaded}, machine, 1)
     for heuristic, row in rows.items():
         for columns, title in (
             (metrics.RESULTS_TABLE_COLUMNS, "results"),

@@ -304,7 +304,7 @@ def longest_path(tree, qc: QueryCost) -> LongestPath:
     )
 
 
-def memory_accounting(tree, qc: QueryCost):
+def memory_accounting(qc: QueryCost):
     """Per-processor byte estimates: (bca_mem, bca_mem_excl_final, dist_mem).
 
     bca_mem totals the bytes moved to and from one worker over all
@@ -319,13 +319,12 @@ def memory_accounting(tree, qc: QueryCost):
     if not qc.per_cp:
         return 0.0, 0.0, 0.0
     top = max(c.d_max for c in qc.per_cp)
-    total = total_excl = biggest = 0
-    for node_id, c in zip(qc.node_ids, qc.per_cp):
+    total = biggest = 0
+    for c in qc.per_cp:
         moved = (c.b_d << top) + (c.b_result << (top - c.d_max))
         total += moved
-        if node_id != tree.root:
-            total_excl += moved
         biggest = max(biggest, c.shape.size1 + c.shape.size2 + c.shape.result_size)
+    # children come before parents, so `moved` is the root's, the last product
     scale = 1 << top
     dist_mem = float(qc.machine.bytes_per_entry * biggest)
-    return total / scale, total_excl / scale, dist_mem
+    return total / scale, (total - moved) / scale, dist_mem

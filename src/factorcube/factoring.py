@@ -15,7 +15,6 @@ worst-case comparator that just folds factors left to right.
 
 import bisect
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -866,9 +865,7 @@ def _tree_to_obj(tree: EvalTree) -> dict:
 
 
 def save_tree(tree: EvalTree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_tree_to_obj(tree), fh, indent=1)
-        fh.write("\n")
+    network.write_json(_tree_to_obj(tree), path)
 
 
 def load_tree(path) -> EvalTree:

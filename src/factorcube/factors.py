@@ -138,18 +138,19 @@ def _cpt_row_prob(net, var: int, assignment) -> float:
     return net.cpts[var][row * card + assignment[var]]
 
 
-def brute_force_posterior(net, query, joint_cap: int = DEFAULT_JOINT_CAP) -> Factor:
+def brute_force_posterior(net, query) -> Factor:
     """P(query var | evidence) by enumerating the full joint.
 
     Walks every complete assignment consistent with the evidence,
     multiplying raw CPT entries, and bins the mass by query value.
     Quadratic-time and deliberately independent of the factor algebra.
+    DimensionCapError if the joint has more than DEFAULT_JOINT_CAP entries.
     """
     cards = [v.cardinality for v in net.variables]
     joint = math.prod(cards)
-    if joint > joint_cap:
+    if joint > DEFAULT_JOINT_CAP:
         raise DimensionCapError(
-            f"joint has {joint} entries, above the cap of {joint_cap}"
+            f"joint has {joint} entries, above the cap of {DEFAULT_JOINT_CAP}"
         )
     qcard = cards[query.query_var]
     ranges = [

@@ -67,8 +67,8 @@ def build_report_rows(
 ) -> dict[str, ReportRow]:
     """One row per heuristic; absolute speedup is taken against the best
     sequential time among the supplied trees.  Every figure comes from one
-    `query_costs` pass per tree.  With net None (a bare tree file), nodes
-    counts the tree's variables and arcs reads 0."""
+    `query_costs` pass per tree.  With net and query None (a bare tree
+    file), nodes counts the tree's variables, and arcs and obs read 0."""
     if not trees:
         raise ValueError("at least one heuristic's tree is required")
     costs = {h: costmodel.query_costs(t, machine) for h, t in trees.items()}
@@ -78,7 +78,7 @@ def build_report_rows(
         qc = costs[heuristic]
         stats = qc.stats
         lp = costmodel.longest_path(tree, qc)
-        bca_mem, memory, dist_mem = costmodel.memory_accounting(tree, qc)
+        bca_mem, memory, dist_mem = costmodel.memory_accounting(qc)
         # dist-net: the result is gathered and rebroadcast, no inputs sent
         dist_cm = sum((2.0 * c.c_r for c in qc.per_cp), 0.0)
         t_s = qc.t_s_query
@@ -96,7 +96,7 @@ def build_report_rows(
             heuristic=heuristic,
             nodes=len(tree.var_cards) if net is None else net.node_count,
             arcs=0.0 if net is None else net.avg_in_arcs(),
-            obs=len(query.evidence),
+            obs=0 if query is None else len(query.evidence),
             factors=tree.leaf_count,
             cp_count=cp_count,
             seq_time=t_s,
@@ -221,7 +221,7 @@ def table_csv(rows, columns, header_lines=()) -> str:
     return "\n".join(out) + "\n"
 
 
-def table_text(rows, columns, title: str | None = None) -> str:
+def table_text(rows, columns, title: str) -> str:
     """Aligned text table with display rounding."""
     header = [name for name, _, _ in columns]
     body = [
@@ -233,10 +233,7 @@ def table_text(rows, columns, title: str | None = None) -> str:
         max(len(header[c]), *(len(r[c]) for r in body)) if body else len(header[c])
         for c in range(len(header))
     ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
+    lines = [title, "  ".join(h.rjust(w) for h, w in zip(header, widths))]
     for r in body:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
     return "\n".join(lines) + "\n"

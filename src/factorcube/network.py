@@ -14,6 +14,7 @@ save/load cycle reproduces every table bit for bit.
 import graphlib
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -406,14 +407,28 @@ def _net_to_obj(net: BeliefNet, query: QuerySpec) -> dict:
 
 
 def save_net(net: BeliefNet, query: QuerySpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_net_to_obj(net, query), fh, indent=1)
-        fh.write("\n")
+    write_json(_net_to_obj(net, query), path)
+
+
+def write_json(obj, path) -> None:
+    """Write obj as indent-1 JSON and a newline to the file at path, or to
+    stdout when path is None; ValueError naming the path if the file
+    cannot be written.  The one writer of net and tree files."""
+    text = json.dumps(obj, indent=1) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot write ({exc.strerror})") from exc
 
 
 def read_json(path):
     """The JSON document in the file at path; ValueError naming the path
-    if the file cannot be opened, NetFormatError if it is not valid JSON."""
+    if the file cannot be opened, NetFormatError if it is not valid JSON
+    or nests too deep to parse."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -421,7 +436,7 @@ def read_json(path):
     with fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise NetFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -1,10 +1,16 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import small_net
 from factorcube import cli, factoring, network
 from factorcube.cli import (
     EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION,
@@ -590,6 +596,27 @@ _ROW_SUM = _net_doc(cpts=[[0.5, 0.5], [0.9, 0.1, 0.2, 0.3]])
 # a 401-digit integer, too large for a float
 _HUGE = 10 ** 400
 
+# stands for an integer literal of 5,000 digits, above the interpreter's
+# 4,300-digit limit for int(); json.dumps cannot write one, so `_dump`
+# puts the digits into the file text
+_LONG = "<5000 digits>"
+
+
+class _Object(list):
+    """A JSON object as its [key, value] pairs, so a key can repeat."""
+
+
+def _dump(value) -> str:
+    """JSON text of value, as json.dumps writes it, objects given as dicts
+    or as `_Object` pairs; the string _LONG is written as a 5,000-digit
+    integer."""
+    if isinstance(value, (dict, _Object)):
+        pairs = value.items() if isinstance(value, dict) else value
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in pairs) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dump, value)) + "]"
+    return "9" * 5000 if value == _LONG else json.dumps(value)
+
 
 @pytest.mark.parametrize("argv, doc, code, message", [
     pytest.param(("query", "{bad}"), _ROW_SUM, EXIT_VALIDATION,
@@ -614,6 +641,12 @@ _HUGE = 10 ** 400
     pytest.param(("validate", "{bad}"), _net_doc(cpts=[[_HUGE, 0.5], [0.9, 0.1, 0.2, 0.8]]),
                  EXIT_PARSE, "{bad}: cpts must be flat numeric arrays",
                  id="cpt-huge-int-validate"),
+    pytest.param(("validate", "{bad}"), _net_doc(cpts=[[_LONG, 0.5], [0.9, 0.1, 0.2, 0.8]]),
+                 EXIT_PARSE, "{bad}: not valid JSON (Exceeds the limit (4300 digits)",
+                 id="cpt-5000-digits"),
+    pytest.param(("validate", "{bad}"), "[" * 100_000, EXIT_PARSE,
+                 "{bad}: not valid JSON (maximum recursion depth exceeded",
+                 id="nesting-too-deep"),
     pytest.param(("query", "{bad}"), _net_doc(evidence=[[1]]), EXIT_PARSE,
                  "{bad}: evidence[0] must be a [var, value] pair", id="evidence-not-pair"),
     pytest.param(("query", "{bad}"),
@@ -642,6 +675,13 @@ _HUGE = 10 ** 400
     pytest.param(("simulate", "{good}", "--machine", "{bad}"), {"alpha": _HUGE}, EXIT_USAGE,
                  "machine key 'alpha' must be a finite non-negative time",
                  id="machine-huge-int-time"),
+    pytest.param(("simulate", "{good}", "--machine", "{bad}"), {"alpha": _LONG}, EXIT_PARSE,
+                 "{bad}: not valid JSON (Exceeds the limit (4300 digits)",
+                 id="machine-5000-digits"),
+    pytest.param(("gen", "--out", "{bad}/n.json"), [], EXIT_USAGE,
+                 "{bad}/n.json: cannot write (Not a directory)", id="gen-out-unwritable"),
+    pytest.param(("plan", "{good}", "--out", "{bad}/t.json"), [], EXIT_USAGE,
+                 "{bad}/t.json: cannot write (Not a directory)", id="plan-out-unwritable"),
     pytest.param(("simulate", "{bad}"), _tree_doc([], 0, leaves=()), EXIT_PARSE,
                  "{bad}: not a valid evaluation tree (the tree has no nodes)",
                  id="tree-no-nodes"),
@@ -661,7 +701,8 @@ _HUGE = 10 ** 400
 def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, doc, code, message):
     paths = {"good": tmp_path / "good.json", "bad": tmp_path / "bad.json"}
     write_two_node_net(paths["good"])
-    paths["bad"].write_text(json.dumps(doc))
+    # a string is the file text itself
+    paths["bad"].write_text(doc if isinstance(doc, str) else _dump(doc))
     got, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert got == code
     assert out == ""
@@ -692,6 +733,79 @@ def test_gen_and_plan_write_to_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", str(tree))
     assert code == EXIT_OK
     assert "results (tree)" in out
+
+
+# -- fuzzed net files ------------------------------------------------------------
+
+def _slots(value, out):
+    """Append every (container, index) of value to out, outer first."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            out.append((value, i))
+            _slots(item[1] if isinstance(value, _Object) else item, out)
+    return out
+
+
+# a value of every JSON type, huge and negative integers, NaN and infinities
+_FUZZ_VALUES = (
+    None, True, "x", 0, -1, 0.5, -2.5, 2 ** 64, -(2 ** 63), _HUGE, _LONG,
+    float("nan"), float("inf"), float("-inf"), [], [0.5, 0.5], _Object(),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A directory to write into and the text of four small generated nets."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = []
+    for index in range(1, 5):
+        path = root / f"net{index}.json"
+        network.save_net(*small_net(index), path)
+        texts.append(path.read_text())
+    return root, texts
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_net_files_exit_with_an_input_code(fuzz_files, data):
+    # a mutated valid net file: keys dropped or duplicated, values swapped for
+    # another type, a huge or negative integer, NaN or an infinity; then the
+    # text perhaps truncated or a byte flipped.  Every command answers with an
+    # input's exit code, never 1, and prints no traceback.
+    root, texts = fuzz_files
+    doc = json.loads(data.draw(st.sampled_from(texts)),
+                     object_pairs_hook=lambda pairs: _Object(map(list, pairs)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        container, i = data.draw(st.sampled_from(slots))
+        kind = data.draw(st.sampled_from(("drop", "duplicate", "replace")))
+        if kind == "drop":
+            del container[i]
+        elif kind == "duplicate":
+            container.insert(i, copy.deepcopy(container[i]))
+        else:
+            value = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
+            if isinstance(container, _Object):
+                container[i][1] = value
+            else:
+                container[i] = value
+    raw = bytearray(_dump(doc).encode())
+    edit = data.draw(st.sampled_from(("none", "none", "truncate", "flip")))
+    if edit == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)):]
+    elif edit == "flip":
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    path = root / "mutated.json"
+    path.write_bytes(raw)
+    for command in ("validate", "query", "plan", "simulate"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_VALIDATION, EXIT_CAP), (
+            command, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 # -- experiment ------------------------------------------------------------------

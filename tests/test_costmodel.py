@@ -547,7 +547,7 @@ def test_distnet_report_pays_return_path_twice(protocol_corpus):
 def test_memory_accounting_single_product():
     tree = build_set_factoring([(0, 1), (1, 2)], B2, 0)
     qc = query_costs(tree, DEFAULT_MACHINE)
-    bca, bca_excl, dist = memory_accounting(tree, qc)
+    bca, bca_excl, dist = memory_accounting(qc)
     assert dist == 4 * (4 + 4 + 2) == 40.0
     assert bca == bca_excl == 0.0  # under grainsize: nothing distributed
 
@@ -555,14 +555,14 @@ def test_memory_accounting_single_product():
 def test_memory_accounting_leaf_only():
     tree = build_set_factoring([(0,)], B2, 0)
     qc = query_costs(tree, DEFAULT_MACHINE)
-    assert memory_accounting(tree, qc) == (0.0, 0.0, 0.0)
+    assert memory_accounting(qc) == (0.0, 0.0, 0.0)
 
 
 def test_memory_excludes_root_product(protocol_corpus):
     inst = next(i for i in protocol_corpus if i["trees"]["set-factoring"].cp_count > 2)
     tree = inst["trees"]["set-factoring"]
     qc = query_costs(tree, DEFAULT_MACHINE)
-    bca, bca_excl, _ = memory_accounting(tree, qc)
+    bca, bca_excl, _ = memory_accounting(qc)
     root_cost = qc.per_cp[-1]
     assert qc.node_ids[-1] == tree.root
     assert bca - bca_excl == pytest.approx(

@@ -245,9 +245,18 @@ def test_brute_force_root_query_without_evidence_is_prior():
 
 
 def test_brute_force_respects_joint_cap():
-    net, q = small_net(1)
+    from factorcube import network
+
+    # 25 binary variables: a joint of 2**25 entries, above DEFAULT_JOINT_CAP
+    n = 25
+    net = network.BeliefNet(
+        tuple(network.Variable(i, f"V{i}", 2) for i in range(n)),
+        ((),) * n,
+        (np.array([0.5, 0.5]),) * n,
+    )
+    assert 2 ** n > fa.DEFAULT_JOINT_CAP
     with pytest.raises(DimensionCapError):
-        fa.brute_force_posterior(net, q, joint_cap=1)
+        fa.brute_force_posterior(net, network.QuerySpec(0))
 
 
 def test_cpt_factor_sorts_axes():

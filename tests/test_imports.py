@@ -51,6 +51,26 @@ def test_no_imports_inside_functions():
     assert found == []
 
 
+def test_cli_uses_only_public_names_of_other_modules():
+    # the command line reads and writes files through public functions only,
+    # so each file format keeps one reader and one writer
+    modules = {path.stem for path in SRC.glob("*.py")}
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "factorcube"):
+            names = [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"cli.py:{node.lineno} {name}" for name in names
+                  if name.startswith("_") and not name.endswith("__")]
+    assert found == []
+
+
 def test_benchmark_names_resolve():
     # the benchmark wraps the attributes its span table names and calls
     # factorcube.backend(); a rename passes every other test and breaks it

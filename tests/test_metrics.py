@@ -3,7 +3,7 @@ import io
 import pytest
 
 from helpers import build_instance, small_net
-from factorcube import costmodel, factoring, metrics, network
+from factorcube import costmodel, factoring, metrics
 from factorcube.costmodel import DEFAULT_MACHINE, MachineParams
 from factorcube.metrics import (
     build_report_rows,
@@ -111,8 +111,7 @@ def test_unparallelizable_tree_has_unit_speedup():
 
 def tree_row(tree):
     """The report row of a bare tree, as `simulate` fills it."""
-    query = network.QuerySpec(tree.query_var, {})
-    return build_report_rows(None, query, {"tree": tree}, DEFAULT_MACHINE)["tree"]
+    return build_report_rows(None, None, {"tree": tree}, DEFAULT_MACHINE)["tree"]
 
 
 def test_tree_parallelism_left_deep_chain_covers_everything():
