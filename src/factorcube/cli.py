@@ -198,6 +198,16 @@ class ExperimentConfig:
         )
 
 
+def _make_dir(path) -> Path:
+    """The directory at path, made if missing; ValueError if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{out}: cannot write ({exc.strerror})") from exc
+    return out
+
+
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Generate, plan, and cost `config.count` nets; write every table
     under out_dir.  Deterministic per master seed; a net whose generation
@@ -205,8 +215,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     with no failures removes an earlier errors.csv.  The tables are
     written even when every net fails, as headers only.  Returns the run
     metadata."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir)
     heuristics = list(config.heuristics)
     per_net_rows = []
     failures = []
@@ -240,12 +249,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     if failures:
         lines = ["net_index,seed,error"]
         lines += [f"{i},{s},{msg!r}" for i, s, msg in failures]
-        (out / "errors.csv").write_text("\n".join(lines) + "\n")
+        network.write_text("\n".join(lines) + "\n", out / "errors.csv")
     else:
         (out / "errors.csv").unlink(missing_ok=True)
-    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    network.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n",
+                       out / "metadata.json")
     return meta
 
 
@@ -261,6 +269,10 @@ def cmd_simulate(args) -> int:
         if args.heuristic:
             raise ValueError(f"--heuristic applies to net files only; {args.input} is a tree file")
         rows = metrics.build_report_rows(None, None, {"tree": loaded}, machine, 1)
+    # written before anything is printed: a failed write leaves stdout empty
+    if args.out:
+        details = _make_dir(args.out) / "details.csv"
+        network.write_text(metrics.details_csv(list(rows.values())), details)
     for heuristic, row in rows.items():
         for columns, title in (
             (metrics.RESULTS_TABLE_COLUMNS, "results"),
@@ -269,11 +281,7 @@ def cmd_simulate(args) -> int:
         ):
             print(metrics.table_text([row], columns, title=f"{title} ({heuristic})"))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        all_rows = list(rows.values())
-        (out / "details.csv").write_text(metrics.details_csv(all_rows))
-        print(f"wrote {out / 'details.csv'}")
+        print(f"wrote {details}")
     return EXIT_OK
 
 
@@ -296,10 +304,10 @@ def _write_tables(out: Path, per_net_rows, heuristics, meta) -> None:
          metrics.TREE_PARALLELISM_COLUMNS, f"evaluation-tree parallelism ({comm_h})"),
     ]
     for stem, rows, columns, title in tables:
-        (out / f"{stem}.csv").write_text(metrics.table_csv(rows, columns, header))
-        (out / f"{stem}.txt").write_text(metrics.table_text(rows, columns, title=title))
+        network.write_text(metrics.table_csv(rows, columns, header), out / f"{stem}.csv")
+        network.write_text(metrics.table_text(rows, columns, title), out / f"{stem}.txt")
     details = [rows[h] for rows in per_net_rows for h in heuristics]
-    (out / "details.csv").write_text(metrics.details_csv(details, header))
+    network.write_text(metrics.details_csv(details, header), out / "details.csv")
 
 
 def cmd_experiment(args) -> int:

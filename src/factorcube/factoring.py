@@ -125,7 +125,6 @@ def scopes_for_query(
         for scope in scopes
         for v in scope
     }
-    cards.setdefault(query.query_var, net.variables[query.query_var].cardinality)
     return scopes, cards, ids
 
 

@@ -58,9 +58,6 @@ class Factor:
     def cards(self) -> tuple[int, ...]:
         return self.table.shape
 
-    def mass(self) -> float:
-        return float(self.table.sum())
-
 
 def marginalize_out(f: Factor, drop) -> Factor:
     """Sum `drop` out of f.  Dropping every variable leaves the total mass."""
@@ -76,26 +73,6 @@ def marginalize_out(f: Factor, drop) -> Factor:
     )
 
 
-def condition(f: Factor, evidence: dict[int, int]) -> Factor:
-    """Slice f at the observed values; observed variables are removed.
-
-    Evidence on variables the factor does not mention is ignored.
-    """
-    hit = {v: evidence[v] for v in f.vars if v in evidence}
-    if not hit:
-        return f
-    for v, card in zip(f.vars, f.cards):
-        if v in hit and not 0 <= hit[v] < card:
-            raise ValueError(
-                f"evidence value {hit[v]} out of range for variable {v} "
-                f"(cardinality {card})"
-            )
-    return Factor(
-        tuple(v for v in f.vars if v not in hit),
-        f.table[tuple(hit.get(v, slice(None)) for v in f.vars)],
-    )
-
-
 def normalize(f: Factor) -> Factor:
     """Scale f to unit mass."""
     total = f.table.sum()
@@ -104,30 +81,39 @@ def normalize(f: Factor) -> Factor:
     return Factor(f.vars, f.table / total)
 
 
-def cpt_factor(net, var: int) -> Factor:
-    """The conditional table of `var` as a factor over {var} | parents(var).
+def query_factors(net, query, ids=None) -> list[Factor]:
+    """CPT factors reduced at the evidence, one per id in `ids` (ascending;
+    by default the ancestral closure, `network.relevant_factors`), in that
+    order.
 
     Net CPTs are stored with parent assignments as rows (parents in the
     net's stored order, last parent fastest) and the child value fastest
-    within a row; the factor is a view of it with those axes transposed
-    into ascending id order.
+    within a row.  Each factor is a view of its CPT with one axis per
+    variable, indexed at the observed values of the variables it holds,
+    its remaining axes transposed into ascending id order; so its scope
+    holds only unobserved ids.  ValueError if an observed value is out of
+    range for its variable.
     """
-    axis_vars = tuple(net.parents[var]) + (var,)
-    table = np.asarray(net.cpts[var], dtype=np.float64).reshape(
-        [net.variables[v].cardinality for v in axis_vars]
-    )
-    order = sorted(range(len(axis_vars)), key=axis_vars.__getitem__)
-    return Factor(tuple(axis_vars[i] for i in order), table.transpose(order))
-
-
-def query_factors(net, query, ids=None) -> list[Factor]:
-    """Conditioned CPT factors, one per id in `ids` (ascending; by default
-    the ancestral closure, `network.relevant_factors`), in that order.
-    Observed variables are sliced away, so the returned scopes contain
-    only unobserved ids."""
     if ids is None:
         ids = sorted(network.relevant_factors(net, query))
-    return [condition(cpt_factor(net, v), query.evidence) for v in ids]
+    out = []
+    for v in ids:
+        axis_vars = (*net.parents[v], v)
+        cards = [net.variables[w].cardinality for w in axis_vars]
+        for w, card in zip(axis_vars, cards):
+            if w in query.evidence and not 0 <= query.evidence[w] < card:
+                raise ValueError(
+                    f"evidence value {query.evidence[w]} out of range for "
+                    f"variable {w} (cardinality {card})"
+                )
+        kept = [w for w in axis_vars if w not in query.evidence]
+        order = sorted(range(len(kept)), key=kept.__getitem__)
+        # the Ellipsis keeps a fully observed CPT a 0-d view, not a copy
+        table = net.cpts[v].reshape(cards)[
+            (*(query.evidence.get(w, slice(None)) for w in axis_vars), ...)
+        ]
+        out.append(Factor(tuple(sorted(kept)), table.transpose(order)))
+    return out
 
 
 def _cpt_row_prob(net, var: int, assignment) -> float:

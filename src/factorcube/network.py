@@ -417,7 +417,14 @@ def write_json(obj, path) -> None:
     text = json.dumps(obj, indent=1) + "\n"
     if path is None:
         sys.stdout.write(text)
-        return
+    else:
+        write_text(text, path)
+
+
+def write_text(text: str, path) -> None:
+    """Write text to the file at path; ValueError naming the path if the
+    file cannot be written.  Every file the command line writes goes
+    through here."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -682,6 +682,10 @@ def _dump(value) -> str:
                  "{bad}/n.json: cannot write (Not a directory)", id="gen-out-unwritable"),
     pytest.param(("plan", "{good}", "--out", "{bad}/t.json"), [], EXIT_USAGE,
                  "{bad}/t.json: cannot write (Not a directory)", id="plan-out-unwritable"),
+    pytest.param(("simulate", "{good}", "--out", "{bad}/x"), [], EXIT_USAGE,
+                 "{bad}/x: cannot write (Not a directory)", id="simulate-out-unwritable"),
+    pytest.param(("experiment", "--count", "1", "--out", "{bad}"), [], EXIT_USAGE,
+                 "{bad}: cannot write (File exists)", id="experiment-out-unwritable"),
     pytest.param(("simulate", "{bad}"), _tree_doc([], 0, leaves=()), EXIT_PARSE,
                  "{bad}: not a valid evaluation tree (the tree has no nodes)",
                  id="tree-no-nodes"),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import SMALL_PARAMS, build_instance, cp_shape, enumerate_posterior, small_net
 from factorcube import costmodel, factoring, network
 from factorcube import factors as fa
+from factorcube.costmodel import DEFAULT_MACHINE
 from factorcube.factoring import (
     build_chain_baseline,
     build_set_factoring,
@@ -21,6 +22,7 @@ from factorcube.factoring import (
     tree_stats,
 )
 from factorcube.factors import DimensionCapError
+from factorcube.metrics import build_report_rows
 
 B2 = {v: 2 for v in range(10)}
 
@@ -739,6 +741,43 @@ def test_deferred_run_never_builds_its_union():
     assert peak < 2 ** 20 * 8
     want = np.einsum(*(x for f in leaves for x in (f.table, f.vars)), [0])
     np.testing.assert_allclose(got.table, want / want.sum(), rtol=1e-12)
+
+
+def leaves_just_in_time(tree):
+    """tree with its nodes renumbered so that each leaf comes just before
+    the product that first uses it, which keeps children before parents."""
+    nodes = tree.nodes
+    order = []
+    for i, node in enumerate(nodes):
+        if not node.is_leaf:
+            order += [c for c in (node.left, node.right) if nodes[c].is_leaf]
+            order.append(i)
+    new = {old: i for i, old in enumerate(order)}
+    renumbered = tuple(
+        n if n.is_leaf else factoring.EvalNode(None, new[n.left], new[n.right], n.scope)
+        for n in map(nodes.__getitem__, order)
+    )
+    return factoring.EvalTree(tree.query_var, tree.var_cards, renumbered)
+
+
+@pytest.mark.parametrize("leaf_scopes, products, largest", DEFERRED_RUNS)
+def test_regroup_takes_leaves_after_the_first_deferral(monkeypatch, leaf_scopes,
+                                                       products, largest):
+    # the leaves of the run now come after its first deferring product
+    tree, leaves = hand_tree(leaf_scopes, products)
+    late = leaves_just_in_time(tree)
+    factoring.check_tree(late)
+    assert late.nodes != tree.nodes
+    sizes = kernel_result_sizes(monkeypatch)
+    want = evaluate_tree(tree, leaves)
+    want_largest = max(sizes)
+    sizes.clear()
+    got = evaluate_tree(late, leaves)
+    assert max(sizes) == want_largest == largest
+    np.testing.assert_array_equal(got.table, want.table)
+    row, late_row = (build_report_rows(None, None, {"tree": t}, DEFAULT_MACHINE)["tree"]
+                     for t in (tree, late))
+    assert late_row == row
 
 
 def summed_out(tree):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import enumerate_posterior, small_net
-from factorcube import _kernels
+from factorcube import _kernels, network
 from factorcube import factors as fa
+from factorcube.factoring import posterior
 from factorcube.factors import (
     DimensionCapError,
     Factor,
@@ -91,18 +92,16 @@ def test_product_cardinality_mismatch():
 
 
 def test_product_reads_strided_views():
-    # a transposed CPT view and a condition slice of one, as query_factors
-    # hands them to the evaluator, against the same tables made contiguous
-    from factorcube import network
-
+    # a transposed CPT view and a sliced one, as query_factors hands them
+    # to the evaluator, against the same tables made contiguous
     net = network.BeliefNet(
         (network.Variable(0, "A", 2), network.Variable(1, "B", 3),
          network.Variable(2, "C", 2)),
         ((1,), (), (1, 0)),
         (np.arange(1.0, 7.0), np.array([0.2, 0.3, 0.5]), np.arange(1.0, 13.0)),
     )
-    cpt = fa.cpt_factor(net, 0)  # vars (0, 1), stored with B as rows
-    sliced = fa.condition(fa.cpt_factor(net, 2), {0: 1})  # vars (1, 2)
+    (cpt,) = fa.query_factors(net, network.QuerySpec(1), [0])  # vars (0, 1), B as rows
+    (sliced,) = fa.query_factors(net, network.QuerySpec(1, {0: 1}), [2])  # vars (1, 2)
     assert not cpt.table.flags.c_contiguous
     assert not sliced.table.flags.c_contiguous
     assert np.shares_memory(cpt.table, net.cpts[0])
@@ -168,29 +167,78 @@ def test_marginalize_unknown_variable_rejected():
 
 # -- conditioning ------------------------------------------------------------
 
+def cpt_leaf(cards, parents, cpt, evidence=None):
+    """query_factors' factor for `cpt`, the CPT of variable 0 stored with
+    `parents` as rows, in a net of variables of cardinalities `cards` (the
+    others parentless and uniform)."""
+    net = network.BeliefNet(
+        tuple(network.Variable(v, f"V{v}", c) for v, c in enumerate(cards)),
+        (tuple(parents),) + ((),) * (len(cards) - 1),
+        (np.asarray(cpt, dtype=float),) + tuple(np.full(c, 1 / c) for c in cards[1:]),
+    )
+    (got,) = fa.query_factors(net, network.QuerySpec(0, evidence or {}), [0])
+    assert np.shares_memory(got.table, net.cpts[0])
+    return got
+
+
 def test_condition_slices():
-    got = fa.condition(f([0, 1], [[1, 2], [3, 4]]), {1: 0})
+    # entry (a, b) of the factor is cpt[b * 2 + a]: [[1, 2], [3, 4]]
+    got = cpt_leaf((2, 2), (1,), [1, 3, 2, 4], {1: 0})
     assert_factor(got, [0], [1, 3])
 
 
 def test_condition_ignores_absent_variables():
-    x = f([0, 1], [[1, 2], [3, 4]])
-    assert fa.condition(x, {7: 1}) is x
+    got = cpt_leaf((2, 2, 2), (1,), [1, 3, 2, 4], {2: 1})
+    assert_factor(got, [0, 1], [[1, 2], [3, 4]])
 
 
 def test_condition_matches_enumeration():
     rng = np.random.default_rng(7)
-    x = f([0, 1, 2], rng.random((2, 2, 2)))
-    got = fa.condition(x, {0: 1, 2: 0})
-    want = [x.table[1, b, 0] for b in range(2)]
+    x = rng.random((2, 2, 2))  # entry (a, b, c); parents (2, 1) are the rows
+    got = cpt_leaf((2, 2, 2), (2, 1), x.transpose(2, 1, 0).ravel(), {0: 1, 2: 0})
+    want = [x[1, b, 0] for b in range(2)]
     assert_factor(got, [1], want)
 
 
 def test_condition_value_out_of_range():
     with pytest.raises(ValueError):
-        fa.condition(f([0], [1, 1]), {0: 2})
+        cpt_leaf((2,), (), [1, 1], {0: 2})
     with pytest.raises(ValueError):  # never a numpy index from the end
-        fa.condition(f([0], [1, 1]), {0: -1})
+        cpt_leaf((2,), (), [1, 1], {0: -1})
+
+
+def test_query_factors_make_one_factor_per_cpt(monkeypatch):
+    # each leaf is one Factor over a view of its CPT, observed or not
+    made = []
+    post_init = Factor.__post_init__
+
+    def spy(self):
+        post_init(self)
+        made.append(self)
+
+    monkeypatch.setattr(Factor, "__post_init__", spy)
+    for i in (4, 8, 11, 14):
+        net, q = small_net(i)
+        ids = sorted(network.relevant_factors(net, q))
+        assert q.evidence and set(q.evidence) & set(ids)
+        made.clear()
+        got = fa.query_factors(net, q, ids)
+        assert made == got and len(got) == len(ids)
+        for v, x in zip(ids, got):
+            assert np.shares_memory(x.table, net.cpts[v])
+            assert x.vars == tuple(
+                w for w in sorted({v, *net.parents[v]}) if w not in q.evidence)
+
+
+@pytest.mark.parametrize("value", [-1, 2])
+def test_posterior_rejects_evidence_out_of_range(value):
+    net = network.BeliefNet(
+        (network.Variable(0, "A", 2), network.Variable(1, "B", 2)),
+        ((), (0,)),
+        (np.array([0.4, 0.6]), np.array([0.9, 0.1, 0.2, 0.8])),
+    )
+    with pytest.raises(ValueError, match="out of range"):
+        posterior(net, network.QuerySpec(0, {1: value}))
 
 
 # -- normalization -----------------------------------------------------------
@@ -209,8 +257,6 @@ def test_normalize_zero_mass_is_inconsistent_evidence():
 # -- brute-force posterior ---------------------------------------------------
 
 def _two_node_net():
-    from factorcube import network
-
     return network.BeliefNet(
         (network.Variable(0, "A", 2), network.Variable(1, "B", 2)),
         ((), (0,)),
@@ -219,8 +265,6 @@ def _two_node_net():
 
 
 def test_brute_force_single_node_prior():
-    from factorcube import network
-
     net = network.BeliefNet(
         (network.Variable(0, "A", 2),), ((),), (np.array([0.3, 0.7]),)
     )
@@ -235,8 +279,6 @@ def test_brute_force_two_node_bayes():
 
 
 def test_brute_force_root_query_without_evidence_is_prior():
-    from factorcube import network
-
     net, _ = small_net(11)
     roots = [v for v in range(net.node_count) if not net.parents[v]]
     q = network.QuerySpec(roots[0])
@@ -245,8 +287,6 @@ def test_brute_force_root_query_without_evidence_is_prior():
 
 
 def test_brute_force_respects_joint_cap():
-    from factorcube import network
-
     # 25 binary variables: a joint of 2**25 entries, above DEFAULT_JOINT_CAP
     n = 25
     net = network.BeliefNet(
@@ -259,9 +299,7 @@ def test_brute_force_respects_joint_cap():
         fa.brute_force_posterior(net, network.QuerySpec(0))
 
 
-def test_cpt_factor_sorts_axes():
-    from factorcube import network
-
+def test_query_factors_sort_axes():
     # child 0 with parent 2: CPT rows indexed by the parent
     net = network.BeliefNet(
         (network.Variable(0, "A", 2), network.Variable(1, "B", 2),
@@ -270,7 +308,7 @@ def test_cpt_factor_sorts_axes():
         (np.array([0.9, 0.1, 0.2, 0.8]), np.array([0.5, 0.5]),
          np.array([0.4, 0.6])),
     )
-    got = fa.cpt_factor(net, 0)
+    (got,) = fa.query_factors(net, network.QuerySpec(0), [0])
     # vars (0, 2): entry (a, c) = P(A=a | C=c)
     assert_factor(got, [0, 2], [[0.9, 0.2], [0.1, 0.8]])
 
@@ -312,8 +350,8 @@ def test_product_associates(f1, f2, f3):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(factor_strategy(var_pool=(0, 1)), factor_strategy(var_pool=(5, 6)))
 def test_mass_multiplies_when_disjoint(f1, f2):
-    got = product(f1, f2).mass()
-    assert got == pytest.approx(f1.mass() * f2.mass(), rel=1e-12)
+    got = product(f1, f2).table.sum()
+    assert got == pytest.approx(f1.table.sum() * f2.table.sum(), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

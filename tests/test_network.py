@@ -209,7 +209,7 @@ def test_relevant_factors_fork_with_evidence():
     # dropping any returned factor changes the posterior
     cards = {v.id: v.cardinality for v in net.variables}
     full = enumerate_posterior(fa.query_factors(net, q), 1, cards)
-    all_f = {v: fa.condition(fa.cpt_factor(net, v), q.evidence) for v in (0, 1, 2)}
+    all_f = dict(zip((0, 1, 2), fa.query_factors(net, q, [0, 1, 2])))
     for dropped in (0, 2):
         rest = [all_f[v] for v in all_f if v != dropped]
         partial = enumerate_posterior(rest, 1, cards)
