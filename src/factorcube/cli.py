@@ -251,7 +251,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         lines += [f"{i},{s},{msg!r}" for i, s, msg in failures]
         network.write_text("\n".join(lines) + "\n", out / "errors.csv")
     else:
-        (out / "errors.csv").unlink(missing_ok=True)
+        try:
+            (out / "errors.csv").unlink(missing_ok=True)
+        except OSError as exc:
+            raise ValueError(f"{out / 'errors.csv'}: cannot remove ({exc.strerror})") from exc
     network.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n",
                        out / "metadata.json")
     return meta

@@ -90,7 +90,7 @@ def load_machine(path) -> MachineParams:
     return machine_from_dict(obj)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CpCost:
     """Modeled cost of one conformal product and how it is spread over
     the cube.
@@ -121,11 +121,10 @@ class CpCost:
 
 @dataclass(frozen=True)
 class QueryCost:
-    """Every product's cost, in creation order, with the products' node
-    ids, the tree's `factoring.TreeStats` and the machine costed on."""
+    """Every product's cost, in creation order, with the tree's stats
+    (`factoring.TreeStats`: shapes, node ids, dimensions) and machine."""
 
     per_cp: tuple[CpCost, ...]
-    node_ids: tuple[int, ...]
     stats: object
     machine: MachineParams
     t_s_query: float
@@ -251,24 +250,24 @@ def parallel_cp_cost(shape, machine: MachineParams) -> CpCost:
 
 def query_costs(tree, machine: MachineParams) -> QueryCost:
     """The one cost pass of a tree: each product's shape, split and cost,
-    derived once, with their query-level sums.
+    derived once, with their query-level sums, added in product order.
 
     Sequential products contribute their full t_s to the computation
     total; only distributed products contribute communication.
     """
     stats = factoring.tree_stats(tree)
-    per = tuple(parallel_cp_cost(sh, machine) for sh in stats.shapes)
-    return QueryCost(
-        per_cp=per,
-        node_ids=tuple(i for i, n in enumerate(tree.nodes) if not n.is_leaf),
-        stats=stats,
-        machine=machine,
-        t_s_query=sum((c.t_s for c in per), 0.0),
-        t_p_query=sum((c.t_p for c in per), 0.0),
-        n_u_query=max((c.n_u for c in per), default=1),
-        cm_total=sum((c.c_d + c.c_r for c in per), 0.0),
-        cp_total=sum((c.w for c in per), 0.0),
-    )
+    per = []
+    t_s = t_p = cm = cp = 0.0
+    n_u = 1
+    for shape in stats.shapes:
+        c = parallel_cp_cost(shape, machine)
+        per.append(c)
+        t_s += c.t_s
+        t_p += c.t_p
+        n_u = max(n_u, c.n_u)
+        cm += c.c_d + c.c_r
+        cp += c.w
+    return QueryCost(tuple(per), stats, machine, t_s, t_p, n_u, cm, cp)
 
 
 def longest_path(tree, qc: QueryCost) -> LongestPath:
@@ -284,18 +283,17 @@ def longest_path(tree, qc: QueryCost) -> LongestPath:
     Requires children to precede parents in the node list, which built
     and loaded trees guarantee.
     """
-    cost = dict(zip(qc.node_ids, qc.per_cp))
-    below: dict[int, float] = {}
-    for i, node in enumerate(tree.nodes):
-        if node.is_leaf:
-            below[i] = 0.0
-        else:
-            below[i] = cost[i].t_s + max(below[node.left], below[node.right])
+    nodes = tree.nodes
+    cost = dict(zip(qc.stats.product_ids, qc.per_cp))
+    below = [0.0] * len(nodes)  # a leaf adds nothing
+    for i, c in cost.items():
+        node = nodes[i]
+        below[i] = c.t_s + max(below[node.left], below[node.right])
     path = []
     at = tree.root
-    while not tree.nodes[at].is_leaf:
+    while at in cost:
         path.append(at)
-        node = tree.nodes[at]
+        node = nodes[at]
         at = node.left if below[node.left] >= below[node.right] else node.right
     return LongestPath(
         seq_time=sum((cost[i].t_s for i in path), 0.0),
@@ -318,7 +316,7 @@ def memory_accounting(qc: QueryCost):
     """
     if not qc.per_cp:
         return 0.0, 0.0, 0.0
-    top = max(c.d_max for c in qc.per_cp)
+    top = qc.n_u_query.bit_length() - 1  # the largest d_max
     total = biggest = 0
     for c in qc.per_cp:
         moved = (c.b_d << top) + (c.b_result << (top - c.d_max))

@@ -72,7 +72,7 @@ class EvalTree:
         return len(self.nodes) - self.leaf_count
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CpShape:
     """One conformal product as scope bitmasks over a column table, with
     its table sizes.
@@ -95,6 +95,7 @@ class CpShape:
 @dataclass(frozen=True)
 class TreeStats:
     shapes: tuple[CpShape, ...]  # creation order; last one is the root
+    product_ids: tuple[int, ...]  # each shape's node id
     dm: int
     md: int
     md_all: int
@@ -567,10 +568,11 @@ def build_tree(heuristic: str, scopes, cards, query_var, machine=None) -> EvalTr
 
 
 def tree_stats(tree: EvalTree) -> TreeStats:
-    """Per-product shapes plus the dimension summary, from one walk over
-    the nodes.
+    """Each product's shape and node id, and the dimensions, in one walk.
 
-    A product's dimensions are the bit counts of its masks: d1 and d2 of
+    A product's mask is its children's union when its scope has as many
+    variables (`check_tree` keeps it within the union), else its encoded
+    scope.  Its dimensions are the bit counts of its masks: d1 and d2 of
     its inputs', u of their union's and r of its result's.  dm is the
     largest u in the tree; md is max(d1, d2, r) at a product of that
     dimension (largest such value if several products tie); md_all is the
@@ -580,27 +582,34 @@ def tree_stats(tree: EvalTree) -> TreeStats:
     masks = []
     sizes = []
     shapes = []
+    ids = []
     dm = md = md_all = 0
-    for node in tree.nodes:
-        mask = cols.mask(node.scope)
-        size = cols.size(mask)
-        masks.append(mask)
-        sizes.append(size)
-        if node.is_leaf:
+    for i, node in enumerate(tree.nodes):
+        if node.factor is not None:  # a leaf
+            mask = cols.mask(node.scope)
+            masks.append(mask)
+            sizes.append(cols.size(mask))
             continue
         mask1, mask2 = masks[node.left], masks[node.right]
         union = mask1 | mask2
-        shapes.append(CpShape(cols, mask1, mask2, mask, sizes[node.left],
-                              sizes[node.right], cols.size(union), size))
         u = union.bit_count()
+        m = cols.size(union)
+        mask = union if len(node.scope) == u else cols.mask(node.scope)
+        size = m if mask == union else cols.size(mask)
+        masks.append(mask)
+        sizes.append(size)
+        shapes.append(CpShape(cols, mask1, mask2, mask, sizes[node.left],
+                              sizes[node.right], m, size))
+        ids.append(i)
         node_md = max(mask1.bit_count(), mask2.bit_count(), mask.bit_count())
-        md_all = max(md_all, node_md)
+        if node_md > md_all:
+            md_all = node_md
         if u > dm:
             dm = u
             md = node_md
-        elif u == dm:
-            md = max(md, node_md)
-    return TreeStats(tuple(shapes), dm, md, md_all)
+        elif u == dm and node_md > md:
+            md = node_md
+    return TreeStats(tuple(shapes), tuple(ids), dm, md, md_all)
 
 
 def check_tree(tree: EvalTree) -> None:

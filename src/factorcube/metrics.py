@@ -97,7 +97,7 @@ def build_report_rows(
             nodes=len(tree.var_cards) if net is None else net.node_count,
             arcs=0.0 if net is None else net.avg_in_arcs(),
             obs=0 if query is None else len(query.evidence),
-            factors=tree.leaf_count,
+            factors=len(tree.nodes) - cp_count,
             cp_count=cp_count,
             seq_time=t_s,
             seq_time_best=seq_time_best,

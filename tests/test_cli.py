@@ -686,6 +686,9 @@ def _dump(value) -> str:
                  "{bad}/x: cannot write (Not a directory)", id="simulate-out-unwritable"),
     pytest.param(("experiment", "--count", "1", "--out", "{bad}"), [], EXIT_USAGE,
                  "{bad}: cannot write (File exists)", id="experiment-out-unwritable"),
+    pytest.param(("experiment", "--count", "1", "--seed", "3", "--out", "{old}"), [],
+                 EXIT_USAGE, "{old}/errors.csv: cannot remove (Is a directory)",
+                 id="experiment-errors-csv-a-directory"),
     pytest.param(("simulate", "{bad}"), _tree_doc([], 0, leaves=()), EXIT_PARSE,
                  "{bad}: not a valid evaluation tree (the tree has no nodes)",
                  id="tree-no-nodes"),
@@ -703,8 +706,11 @@ def _dump(value) -> str:
                  id="tree-root-keeps-non-query"),
 ])
 def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, doc, code, message):
-    paths = {"good": tmp_path / "good.json", "bad": tmp_path / "bad.json"}
+    paths = {"good": tmp_path / "good.json", "bad": tmp_path / "bad.json",
+             "old": tmp_path / "old"}
     write_two_node_net(paths["good"])
+    # an output directory whose stale errors.csv cannot be removed
+    (paths["old"] / "errors.csv").mkdir(parents=True)
     # a string is the file text itself
     paths["bad"].write_text(doc if isinstance(doc, str) else _dump(doc))
     got, out, err = run(capsys, *(a.format(**paths) for a in argv))

@@ -5,8 +5,11 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import build_instance, cp_shape, small_net
+from test_golden_trees import LARGE_PARAMS, nonbinary_instance
 from factorcube import cli, costmodel, factoring, metrics, network
 from factorcube.costmodel import (
     DEFAULT_MACHINE,
@@ -453,6 +456,84 @@ def test_cost_walk_matches_oracle_on_hand_trees(heuristic):
     assert split_cards == {2, 3, 4}
 
 
+@pytest.fixture(scope="module")
+def large_trees():
+    """Every heuristic's tree of the golden `large` net (248 factors)."""
+    net, query = network.random_net(LARGE_PARAMS)
+    scopes, cards, _ = factoring.scopes_for_query(net, query)
+    return [factoring.build_tree(h, scopes, cards, query.query_var)
+            for h in factoring.HEURISTICS]
+
+
+def test_cost_walk_matches_oracle_on_large_trees(large_trees):
+    # masks of up to 163 variables span several machine words; products
+    # that keep their children's whole union (r == u) take their mask
+    # from the children, the others from their scope
+    per = [c for tree in large_trees for machine in ORACLE_MACHINES
+           for c in assert_matches_oracle(tree, machine)]
+    assert max(c["u"] for c in per) > 128
+    assert {c["r"] == c["u"] for c in per} == {True, False}
+    assert any(c["n_u"] > 1 for c in per)
+
+
+COST_FIGURES = ("t_s", "t_p", "w", "c_d", "c_r", "n_u", "b_d", "b_result")
+QUERY_TOTALS = ("t_s_query", "t_p_query", "n_u_query", "cm_total", "cp_total")
+
+
+def relabelled(tree, new_id):
+    """The tree with each variable v renamed new_id[v]: its scopes,
+    var_cards and query variable move along, its nodes stay in place."""
+    return factoring.EvalTree(
+        new_id[tree.query_var],
+        tuple(sorted((new_id[v], card) for v, card in tree.var_cards)),
+        tuple(factoring.EvalNode(n.factor, n.left, n.right,
+                                 tuple(sorted(map(new_id.__getitem__, n.scope))))
+              for n in tree.nodes),
+    )
+
+
+def cost_figures(qc):
+    """Every CpCost figure but the split, the totals and the dimensions."""
+    return ([tuple(getattr(c, f) for f in COST_FIGURES) for c in qc.per_cp],
+            tuple(getattr(qc, f) for f in QUERY_TOTALS),
+            (qc.stats.dm, qc.stats.md, qc.stats.md_all))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_relabelled_tree_costs_the_same(protocol_corpus, data):
+    # renaming a tree's variables moves no cost figure.  A renaming that
+    # keeps their order maps each split variable to its new name; one that
+    # shuffles them may split on other variables, through choose_split's
+    # ascending-id tie-break, so it is asserted on binary trees only,
+    # where any split of the same length costs the same
+    machine = data.draw(st.sampled_from(ORACLE_MACHINES), label="machine")
+    heuristic = data.draw(st.sampled_from(factoring.HEURISTICS), label="heuristic")
+    binary = data.draw(st.booleans(), label="protocol tree")
+    if binary:
+        tree = data.draw(st.sampled_from(protocol_corpus[:50]))["trees"][heuristic]
+    else:
+        scopes, cards, query = nonbinary_instance(data.draw(st.integers(0, 59)))
+        tree = factoring.build_tree(heuristic, scopes, cards, query, machine)
+    old = [v for v, _ in tree.var_cards]
+    new = sorted(data.draw(st.lists(st.integers(0, 10**6), min_size=len(old),
+                                    max_size=len(old), unique=True)))
+    shuffled = binary and data.draw(st.booleans(), label="shuffled")
+    if shuffled:
+        new = data.draw(st.permutations(new))
+    new_id = dict(zip(old, new))
+    renamed = relabelled(tree, new_id)
+    factoring.check_tree(renamed)
+    before = query_costs(tree, machine)
+    after = query_costs(renamed, machine)
+    assert cost_figures(after) == cost_figures(before)
+    splits = [tuple(new_id[v] for v in c.split_vars) for c in before.per_cp]
+    if shuffled:
+        assert [len(c.split_vars) for c in after.per_cp] == list(map(len, splits))
+    else:
+        assert [c.split_vars for c in after.per_cp] == splits
+
+
 def test_cost_walk_ignores_declared_variable_order(protocol_corpus, tmp_path, capsys):
     # a tree file may declare its variables in any order; the walk sorts
     # them by id, so costs, stats and simulate's CSV do not change
@@ -564,7 +645,7 @@ def test_memory_excludes_root_product(protocol_corpus):
     qc = query_costs(tree, DEFAULT_MACHINE)
     bca, bca_excl, _ = memory_accounting(qc)
     root_cost = qc.per_cp[-1]
-    assert qc.node_ids[-1] == tree.root
+    assert qc.stats.product_ids[-1] == tree.root
     assert bca - bca_excl == pytest.approx(
         root_cost.b_d + root_cost.b_result / root_cost.n_u, rel=1e-12
     )

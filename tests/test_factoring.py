@@ -63,6 +63,17 @@ def test_build_requires_query_coverage():
 
 
 @pytest.mark.parametrize("heuristic", factoring.HEURISTICS)
+def test_build_requires_every_cardinality(heuristic):
+    with pytest.raises(ValueError, match="no cardinality given for variable 2"):
+        factoring.build_tree(heuristic, [(0, 1), (1, 2)], {0: 2, 1: 2}, 0)
+
+
+def test_build_tree_rejects_an_unknown_heuristic():
+    with pytest.raises(ValueError, match="unknown heuristic 'greedy'"):
+        factoring.build_tree("greedy", [(0, 1)], B2, 0)
+
+
+@pytest.mark.parametrize("heuristic", factoring.HEURISTICS)
 @pytest.mark.parametrize("scope", [(1, 0), (0, 1, 1)])
 def test_build_rejects_unordered_scope(heuristic, scope):
     with pytest.raises(ValueError, match="strictly ascending"):

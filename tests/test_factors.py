@@ -286,6 +286,17 @@ def test_brute_force_root_query_without_evidence_is_prior():
     np.testing.assert_allclose(got.table, net.cpts[roots[0]], atol=1e-9)
 
 
+def test_brute_force_refuses_zero_probability_evidence():
+    # P(B = 1 | A) = 0 for both values of A
+    net = network.BeliefNet(
+        (network.Variable(0, "A", 2), network.Variable(1, "B", 2)),
+        ((), (0,)),
+        (np.array([0.5, 0.5]), np.array([1.0, 0.0, 1.0, 0.0])),
+    )
+    with pytest.raises(InconsistentEvidenceError, match="zero probability"):
+        fa.brute_force_posterior(net, network.QuerySpec(0, {1: 1}))
+
+
 def test_brute_force_respects_joint_cap():
     # 25 binary variables: a joint of 2**25 entries, above DEFAULT_JOINT_CAP
     n = 25

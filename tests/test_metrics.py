@@ -107,6 +107,12 @@ def test_unparallelizable_tree_has_unit_speedup():
     assert s == 1.0 and e == 1.0
 
 
+def test_report_rows_need_a_tree():
+    net, q = small_net(5)
+    with pytest.raises(ValueError, match="at least one heuristic's tree"):
+        build_report_rows(net, q, {}, DEFAULT_MACHINE)
+
+
 # -- tree-parallelism columns --------------------------------------------------
 
 def tree_row(tree):
