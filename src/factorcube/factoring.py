@@ -16,8 +16,10 @@ worst-case comparator that just folds factors left to right.
 import bisect
 import heapq
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -113,14 +115,8 @@ def scopes_for_query(
     observed variables sliced away.  Returns (scopes, cards, ids)."""
     if ids is None:
         ids = sorted(network.relevant_factors(net, query))
-    scopes = []
-    for v in ids:
-        scope = tuple(
-            w
-            for w in sorted({v, *net.parents[v]})
-            if w not in query.evidence
-        )
-        scopes.append(scope)
+    observed = query.evidence.keys()
+    scopes = [tuple(sorted({v, *net.parents[v]} - observed)) for v in ids]
     cards = {
         v: net.variables[v].cardinality
         for scope in scopes
@@ -135,11 +131,10 @@ def _check_instance(scopes, cards, query_var) -> None:
     if not any(query_var in s for s in scopes):
         raise ValueError(f"query variable {query_var} appears in no factor")
     for s in scopes:
-        if any(a >= b for a, b in zip(s, s[1:])):
+        if not all(map(operator.lt, s, s[1:])):
             raise ValueError(f"scope {tuple(s)} is not strictly ascending")
-        for v in s:
-            if v not in cards:
-                raise ValueError(f"no cardinality given for variable {v}")
+    if missing := set().union(*scopes) - cards.keys():
+        raise ValueError(f"no cardinality given for variable {min(missing)}")
 
 
 def _bits(mask: int):
@@ -227,14 +222,11 @@ class _BuildState:
         self.nodes: list[EvalNode] = [
             EvalNode(i, None, None, tuple(s)) for i, s in enumerate(scopes)
         ]
-        variables = {v for s in scopes for v in s} | {query_var}
-        self.cols = cols = _Columns({v: cards[v] for v in variables})
+        holders = Counter(chain.from_iterable(scopes))
+        self.cols = cols = _Columns({v: cards[v] for v in {*holders, query_var}})
         self.size = cols.size
         self.masks: list[int] = [cols.mask(s) for s in scopes]
-        self.count = [0] * len(cols.vars)
-        for mask in self.masks:
-            for col in _bits(mask):
-                self.count[col] += 1
+        self.count = [holders[v] for v in cols.vars]
         self.query_bit = cols.bit[query_var]
         self.held_once = self.held_twice = 0
         for col, count in enumerate(self.count):
@@ -677,7 +669,7 @@ def _exponent(table: np.ndarray) -> int:
     """The power of two that brings table's largest entry into [0.5, 1).
     A subnormal maximum keeps the smallest normal exponent, so that
     dividing the power out of another table stays finite."""
-    return max(math.frexp(table.max())[1], -1021)
+    return max(math.frexp(np.maximum.reduce(table, axis=None))[1], -1021)
 
 
 def _regroup(tree: EvalTree) -> EvalTree:
@@ -794,7 +786,7 @@ def evaluate_tree(
     """
     nodes = tree.nodes
     for node in nodes:
-        if node.is_leaf:
+        if node.factor is not None:
             if factors[node.factor].vars != node.scope:
                 raise ValueError(f"factor {node.factor} covers "
                                  f"{factors[node.factor].vars}, leaf expects {node.scope}")
@@ -812,11 +804,12 @@ def evaluate_tree(
     # leaves' powers: two leaves of 1e-200 would underflow.
     exponents: dict[int, int] = {}
     for idx, node in enumerate(tree.nodes):
-        if node.is_leaf:
+        if node.factor is not None:
             tables[idx] = factors[node.factor].table
             continue
         left, right = tree.nodes[node.left], tree.nodes[node.right]
-        if left.is_leaf and right.is_leaf:
+        owned = (left.factor is None, right.factor is None)
+        if owned == (False, False):
             shift = -_exponent(tables[node.left]) - _exponent(tables[node.right])
         else:
             shift = -exponents.pop(node.left, 0) - exponents.pop(node.right, 0)
@@ -825,7 +818,7 @@ def evaluate_tree(
         table = _kernels.product_sum(
             tables.pop(node.left), left.scope,
             tables.pop(node.right), right.scope, node.scope,
-            owned=(not left.is_leaf, not right.is_leaf), shift=shift,
+            owned=owned, shift=shift,
         )
         exponents[idx] = _exponent(table)
         tables[idx] = table
@@ -842,7 +835,11 @@ def posterior(net, query, heuristic: str = "set-factoring",
     Only the requisite CPTs (`network.requisite_factors`, a Bayes-ball
     pass) are conditioned and multiplied, so the tree, and the `max_dim`
     cap on it, can be smaller than those of the ancestral closure the
-    analytic commands use; the posterior is the same."""
+    analytic commands use; the posterior is the same.  A query that
+    `network.validate_query` rejects raises `NetValidationError`, even
+    where the pruning drops the variable it names."""
+    if violations := network.validate_query(net, query):
+        raise network.NetValidationError(violations)
     ids = network.requisite_factors(net, query)
     scopes, cards, _ = scopes_for_query(net, query, ids)
     tree = build_tree(heuristic, scopes, cards, query.query_var, machine)

@@ -15,6 +15,7 @@ cross-check for any tree-structured evaluation.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ class Factor:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if any(a >= b for a, b in zip(self.vars, self.vars[1:])):
+        if not all(map(operator.lt, self.vars, self.vars[1:])):
             raise ValueError(f"vars must be strictly ascending: {self.vars}")
         # a view, so that freezing it leaves the caller's array writeable
         table = np.asarray(self.table, dtype=np.float64).view()
@@ -96,22 +97,29 @@ def query_factors(net, query, ids=None) -> list[Factor]:
     """
     if ids is None:
         ids = sorted(network.relevant_factors(net, query))
+    evidence = query.evidence
+    variables = net.variables
     out = []
     for v in ids:
-        axis_vars = (*net.parents[v], v)
-        cards = [net.variables[w].cardinality for w in axis_vars]
-        for w, card in zip(axis_vars, cards):
-            if w in query.evidence and not 0 <= query.evidence[w] < card:
+        # one pass over the CPT's axes: parents in stored order, child last
+        cards, index, kept = [], [], []
+        for w in (*net.parents[v], v):
+            card = variables[w].cardinality
+            cards.append(card)
+            value = evidence.get(w)
+            if value is None:
+                index.append(slice(None))
+                kept.append(w)
+            elif 0 <= value < card:
+                index.append(value)
+            else:
                 raise ValueError(
-                    f"evidence value {query.evidence[w]} out of range for "
+                    f"evidence value {value} out of range for "
                     f"variable {w} (cardinality {card})"
                 )
-        kept = [w for w in axis_vars if w not in query.evidence]
         order = sorted(range(len(kept)), key=kept.__getitem__)
         # the Ellipsis keeps a fully observed CPT a 0-d view, not a copy
-        table = net.cpts[v].reshape(cards)[
-            (*(query.evidence.get(w, slice(None)) for w in axis_vars), ...)
-        ]
+        table = net.cpts[v].reshape(cards)[(*index, ...)]
         out.append(Factor(tuple(sorted(kept)), table.transpose(order)))
     return out
 

@@ -238,33 +238,43 @@ def requisite_factors(net: BeliefNet, query: QuerySpec) -> list[int]:
     node passes it to its parents when visited from a parent, and stops it
     otherwise.  A node that passes to its parents is on top.  Each node is
     marked on top and at the bottom at most once, so the pass is linear.
+    The ball only passes to children within the ancestral closure: below
+    it no node is observed, so none there passes to its parents.
 
     The ids are a subset of `relevant_factors`.  A CPT the pass drops
     cannot change the posterior, but a zero in it can make the evidence
     impossible; so if any dropped CPT has an entry that is not strictly
     positive, the whole ancestral closure is returned instead.
     """
-    children: list[list[int]] = [[] for _ in net.parents]
-    for v, ps in enumerate(net.parents):
-        for p in ps:
+    evidence = query.evidence
+    parents = net.parents
+    closure = relevant_factors(net, query)
+    children: dict[int, list[int]] = {v: [] for v in closure}
+    for v in closure:
+        for p in parents[v]:
             children[p].append(v)
     top: set[int] = set()
     bottom: set[int] = set()
-    todo = [(query.query_var, True)]  # (node, visited from a child)
-    while todo:
-        v, from_child = todo.pop()
-        if v in query.evidence:
-            if not from_child and v not in top:
+    up = [query.query_var]  # nodes visited from a child
+    down: list[int] = []  # nodes visited from a parent
+    while up or down:
+        if up:
+            v = up.pop()
+            if v in evidence:
+                continue
+            if v not in top:
                 top.add(v)
-                todo.extend((p, True) for p in net.parents[v])
-            continue
-        if from_child and v not in top:
-            top.add(v)
-            todo.extend((p, True) for p in net.parents[v])
+                up += parents[v]
+        else:
+            v = down.pop()
+            if v in evidence:
+                if v not in top:
+                    top.add(v)
+                    up += parents[v]
+                continue
         if v not in bottom:
             bottom.add(v)
-            todo.extend((c, False) for c in children[v])
-    closure = relevant_factors(net, query)
+            down += children[v]
     if any(not net.cpts[v].min() > 0.0 for v in closure - top):
         return sorted(closure)
     return sorted(top)

@@ -935,6 +935,82 @@ def test_requisite_pruning_keeps_the_posterior(seed):
         np.testing.assert_allclose(got.table, oracle.table, rtol=0, atol=1e-9)
 
 
+# -- relations between nets ------------------------------------------------
+
+def with_barren_nodes(net, seed):
+    """net with one to four unobserved nodes added below it, ids above the
+    old ones: each a child of up to three random nodes before it, with a
+    random CPT of cardinality 2 or 3."""
+    rng = np.random.default_rng(seed)
+    variables, parents, cpts = list(net.variables), list(net.parents), list(net.cpts)
+    for v in range(net.node_count, net.node_count + int(rng.integers(1, 5))):
+        ps = tuple(int(p) for p in rng.choice(v, size=min(v, int(rng.integers(1, 4))),
+                                                 replace=False))
+        card = int(rng.integers(2, 4))
+        table = rng.random((math.prod(variables[p].cardinality for p in ps), card))
+        variables.append(network.Variable(v, f"b{v}", card))
+        parents.append(ps)
+        cpts.append((table / table.sum(axis=1, keepdims=True)).ravel())
+    return network.BeliefNet(tuple(variables), tuple(parents), tuple(cpts))
+
+
+def cost_figures(tree):
+    """Every figure of a tree's cost table but the shapes' column tables."""
+    qc = costmodel.query_costs(tree, DEFAULT_MACHINE)
+    return ([(c.t_s, c.t_p, c.w, c.c_d, c.c_r, c.n_u, c.split_vars, c.b_d, c.b_result)
+             for c in qc.per_cp],
+            (qc.t_s_query, qc.t_p_query, qc.n_u_query, qc.cm_total, qc.cp_total,
+             qc.stats.dm, qc.stats.md, qc.stats.md_all))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**63 - 1))
+def test_barren_nodes_change_nothing(seed):
+    net, query = network.random_net(network.NetGenParams(seed=seed, **SMALL_PARAMS))
+    grown = with_barren_nodes(net, seed)
+    assert not network.validate(grown) and grown.node_count > net.node_count
+    assert network.relevant_factors(grown, query) == network.relevant_factors(net, query)
+    assert network.requisite_factors(grown, query) == network.requisite_factors(net, query)
+    before, after = build_instance(net, query), build_instance(grown, query)
+    for heuristic in factoring.HEURISTICS:
+        got = factoring.posterior(grown, query, heuristic).table
+        assert got.tobytes() == factoring.posterior(net, query, heuristic).table.tobytes()
+        tree = after["trees"][heuristic]
+        assert tree == before["trees"][heuristic]
+        assert cost_figures(tree) == cost_figures(before["trees"][heuristic])
+
+
+def relabelled(net, query, perm):
+    """net and query with variable v renamed perm[v]: each CPT keeps its
+    table and its parents their stored order, mapped."""
+    old = sorted(range(net.node_count), key=perm.__getitem__)  # old[perm[v]] == v
+    net = network.BeliefNet(
+        tuple(network.Variable(i, net.variables[v].name, net.variables[v].cardinality)
+              for i, v in enumerate(old)),
+        tuple(tuple(perm[p] for p in net.parents[v]) for v in old),
+        tuple(net.cpts[v] for v in old),
+    )
+    evidence = {perm[v]: value for v, value in query.evidence.items()}
+    return net, network.QuerySpec(perm[query.query_var], evidence)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_relabelled_net_gives_the_same_posterior(data):
+    seed = data.draw(st.integers(0, 2**63 - 1))
+    net, query = network.random_net(network.NetGenParams(seed=seed, **SMALL_PARAMS))
+    perm = data.draw(st.permutations(range(net.node_count)))
+    renamed, moved = relabelled(net, query, perm)
+    assert not network.validate(renamed)
+    ids = network.requisite_factors(net, query)
+    assert network.requisite_factors(renamed, moved) == sorted(perm[v] for v in ids)
+    for heuristic in factoring.HEURISTICS:
+        want = factoring.posterior(net, query, heuristic)
+        got = factoring.posterior(renamed, moved, heuristic)
+        assert got.vars == (moved.query_var,)
+        np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-12)
+
+
 # -- stats -------------------------------------------------------------------
 
 def dims(sh):

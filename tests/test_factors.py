@@ -239,6 +239,18 @@ def test_posterior_rejects_evidence_out_of_range(value):
     )
     with pytest.raises(ValueError, match="out of range"):
         posterior(net, network.QuerySpec(0, {1: value}))
+    # A (the query) and B are roots, C is B's child: the pruning keeps
+    # only A's CPT, so no factor reads the evidence on B or C
+    net = network.BeliefNet(
+        tuple(network.Variable(v, name, 2) for v, name in enumerate("ABC")),
+        ((), (), (1,)),
+        (np.array([0.3, 0.7]), np.array([0.4, 0.6]), np.array([0.9, 0.1, 0.2, 0.8])),
+    )
+    for evidence in ({2: value}, {1: value}):
+        with pytest.raises(network.NetValidationError, match="out of range"):
+            posterior(net, network.QuerySpec(0, evidence))
+    with pytest.raises(network.NetValidationError, match="unknown 3"):
+        posterior(net, network.QuerySpec(0, {3: 0}))
 
 
 # -- normalization -----------------------------------------------------------

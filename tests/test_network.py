@@ -1,12 +1,13 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import enumerate_posterior, small_net
+from helpers import SMALL_PARAMS, enumerate_posterior, small_net
 from factorcube import factors as fa
 from factorcube import network
 from factorcube.network import (
@@ -237,6 +238,50 @@ def test_relevance_equals_independent_closure():
         net, q = small_net(i)
         want = _ancestors_by_bfs(net, [q.query_var, *q.evidence])
         assert network.relevant_factors(net, q) == want
+
+
+def requisite_by_d_separation(net, query):
+    """Ids, ascending, of the CPTs that a new root t, made a parent of
+    their variable v, would d-connect to the query variable given the
+    evidence: the requisite CPTs (Shachter, UAI 1998).  By the
+    moralization criterion (Lauritzen et al., Networks 1990): take the
+    ancestral graph of the query, the evidence and t, join each node's
+    parents, drop the arcs' directions, delete the evidence, and see
+    whether t reaches the query.  t is a root, so that graph is the one of
+    the query and the evidence, plus t only when v is in it, and t's
+    edges go to v and v's parents."""
+    evidence = query.evidence
+    ancestral = _ancestors_by_bfs(net, [query.query_var, *evidence])
+    moral = {w: set() for w in ancestral}
+    for w in ancestral:
+        for p in net.parents[w]:
+            moral[w].add(p)
+            moral[p].add(w)
+        for a, b in itertools.combinations(net.parents[w], 2):
+            moral[a].add(b)
+            moral[b].add(a)
+    out = []
+    for v in sorted(ancestral):
+        frontier = [w for w in (v, *net.parents[v]) if w not in evidence]
+        seen = set(frontier)
+        while frontier:
+            for x in moral[frontier.pop()] - seen:
+                if x not in evidence:
+                    seen.add(x)
+                    frontier.append(x)
+        if query.query_var in seen:
+            out.append(v)
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**63 - 1), st.sampled_from([SMALL_PARAMS, {}]))
+def test_requisite_factors_equal_d_separation(seed, params):
+    # {} is the protocol's generator; a CPT entry that is not strictly
+    # positive sends the pass to its fallback, the whole closure
+    net, query = network.random_net(NetGenParams(seed=seed, **params))
+    assume(all(cpt.min() > 0.0 for cpt in net.cpts))
+    assert network.requisite_factors(net, query) == requisite_by_d_separation(net, query)
 
 
 def test_posterior_from_relevant_equals_full_joint():
