@@ -1,14 +1,21 @@
 """The numeric evaluator's inner loop: one fused conformal product and
 summation per tree node."""
 
+import itertools
 import math
 
 import numpy as np
 
-# Products with fewer joint assignments than this skip einsum's path
-# optimizer, and are never multiplied in place: planning a call costs more
-# than the small contraction itself.
+# Products with fewer joint assignments than this are never multiplied in
+# place: one plain einsum call costs less than the route's set-up.
 _OPTIMIZE_FROM = 2 ** 10
+
+# A product that sums out a variable both inputs hold runs as blocked
+# matmuls from this many joint assignments on; below it one plain einsum
+# call is faster.  A block holds at most `_MATMUL_BLOCK` entries of each
+# input.
+_MATMUL_FROM = 2 ** 13
+_MATMUL_BLOCK = 2 ** 16
 
 # The in-place multiply's shortest inner loop, and the most entries it
 # spends on a copy of the factor to reach it (see `_multiply`).
@@ -36,7 +43,7 @@ def product_sum(t1, vars1, t2, vars2, result_vars, *,
     only read.  The power-of-two `shift` is exact; it scales the smaller
     input, never the result.
 
-    Two routes, chosen from the inputs' sizes, variables and owners:
+    Three routes, chosen from the inputs' sizes, variables and owners:
     - In place, when the product has at least `_OPTIMIZE_FROM` joint
       assignments and an owned input holds every variable of the other:
       the smaller input is multiplied into the owned table, iterating in
@@ -44,14 +51,18 @@ def product_sum(t1, vars1, t2, vars2, result_vars, *,
       of it in place.  No union-sized temporary and no copy of the owned
       table is made.  The result is the owned table itself when nothing
       is dropped, else a new array.
-    - Otherwise one `np.einsum` call on the two tables as they are.  It
-      labels each union variable by a small integer, so the union may
-      hold at most 52 variables, einsum's label limit (a table over 53
-      binary variables could not be allocated anyway).  Large products
-      take einsum's optimized path, which sums out a variable only one
-      input holds before the product and multiplies the rest as one
-      batched matmul.  The result is a new writeable array.
-    A result with no variables is a fresh 0-d array on either route.
+    - Blocked matmuls, when the product has at least `_MATMUL_FROM` joint
+      assignments and sums out a variable both inputs hold (see
+      `_blocked_matmul`).  Each input is laid out for the matmul one
+      block of at most `_MATMUL_BLOCK` entries at a time, never whole, so
+      the route holds its inputs, its result and two block buffers.  The
+      result is a new writeable array, a transposed view in
+      `result_vars` order.
+    - Otherwise one plain `np.einsum` call on the two tables as they are.
+    The last two routes label each union variable by a small integer for
+    einsum, so the union may hold at most 52 variables, einsum's label
+    limit (a table over 53 binary variables could not be allocated anyway).
+    A result with no variables is a fresh 0-d array on every route.
     """
     # the larger input first; of two equal ones, an owned one first
     if (t2.size, owned[1]) > (t1.size, owned[0]):
@@ -64,13 +75,89 @@ def product_sum(t1, vars1, t2, vars2, result_vars, *,
     card = dict(zip(vars1, t1.shape))
     card.update(zip(vars2, t2.shape))
     label = {v: i for i, v in enumerate(card)}
+    if (math.prod(card.values()) >= _MATMUL_FROM
+            and not set(vars1).intersection(vars2).issubset(result_vars)):
+        return _blocked_matmul(t1, vars1, t2, vars2, result_vars, card, label)
     # einsum returns a numpy scalar, not an array, when result_vars is empty
     return np.asarray(np.einsum(
         t1, [label[v] for v in vars1],
         t2, [label[v] for v in vars2],
         [label[v] for v in result_vars],
-        optimize=math.prod(card.values()) >= _OPTIMIZE_FROM,
     ))
+
+
+def _blocked_matmul(big, bvars, small, svars, result_vars, card, label) -> np.ndarray:
+    """The product of `big` and the smaller `small`, which sums out a
+    variable both hold, as batched matmuls over blocks of the inputs.
+
+    A block holds the contracted variables, then the kept ones, each
+    input's innermost in memory first, while each input's part of it has
+    at most `_MATMUL_BLOCK` entries.  Every value of the variables outside
+    the block, but for a variable one input holds and the result drops,
+    is one step.  At each step one einsum call lays `big`'s part out in a
+    block-sized buffer as (batch, kept, contracted), summing out the
+    variables only `big` holds, and another lays `small`'s part out as
+    (batch, contracted, kept); each is redone only when its input's part
+    changes.  The matmul writes into the result's block, or, when a
+    contracted variable outside the block is not at its first value, into
+    one buffer that is added to it."""
+    keep, bheld, sheld = set(result_vars), set(bvars), set(svars)
+    shared = bheld & sheld
+    binner, sinner = ([tvars[i] for i in sorted(range(t.ndim), key=t.strides.__getitem__)]
+                      for t, tvars in ((big, bvars), (small, svars)))
+    broom = sroom = _MATMUL_BLOCK
+    inblock = set()
+    for v in ([v for v in binner if v in shared and v not in keep]
+              + [v for v in binner if v in keep]
+              + [v for v in sinner if v in keep and v not in bheld]):
+        if (v not in bheld or card[v] <= broom) and (v not in sheld or card[v] <= sroom):
+            inblock.add(v)
+            if v in bheld:
+                broom //= card[v]
+            if v in sheld:
+                sroom //= card[v]
+    steps = [v for v in bvars if v not in inblock and (v in keep or v in shared)]
+    steps += [v for v in svars if v not in inblock and v in keep and v not in bheld]
+    step_of = {v: i for i, v in enumerate(steps)}
+    batch = [v for v in bvars if v in inblock and v in shared and v in keep]
+    bkeep = [v for v in bvars if v in inblock and v in keep and v not in shared]
+    contracted = [v for v in bvars if v in inblock and v in shared and v not in keep]
+    skeep = [v for v in svars if v in inblock and v in keep and v not in bheld]
+    nb, nk, nc, ns = (math.prod([card[v] for v in group])
+                      for group in (batch, bkeep, contracted, skeep))
+    lhs, rhs = np.empty((nb, nk, nc)), np.empty((nb, nc, ns))
+    lhs_vars, rhs_vars = batch + bkeep + contracted, batch + contracted + skeep
+    lhs_view = lhs.reshape([card[v] for v in lhs_vars])
+    rhs_view = rhs.reshape([card[v] for v in rhs_vars])
+    big_labels = [label[v] for v in bvars if v not in step_of]
+    small_labels = [label[v] for v in svars if v not in step_of]
+    lhs_labels = [label[v] for v in lhs_vars]
+    rhs_labels = [label[v] for v in rhs_vars]
+    out_vars = [v for v in steps if v in keep] + batch + bkeep + skeep
+    out = np.empty([card[v] for v in out_vars])
+    bpick = [step_of.get(v) for v in bvars]
+    spick = [step_of.get(v) for v in svars]
+    kpick = [i for i, v in enumerate(steps) if v in keep]
+    summed = [i for i, v in enumerate(steps) if v not in keep]
+    acc = np.empty((nb, nk, ns)) if summed else None
+    every = slice(None)
+    big_at = small_at = None
+    for values in itertools.product(*[range(card[v]) for v in steps]):
+        at = tuple(every if i is None else values[i] for i in bpick)
+        if at != big_at:
+            np.einsum(big[at + (...,)], big_labels, lhs_labels, out=lhs_view)
+            big_at = at
+        at = tuple(every if i is None else values[i] for i in spick)
+        if at != small_at:
+            np.einsum(small[at + (...,)], small_labels, rhs_labels, out=rhs_view)
+            small_at = at
+        target = out[tuple(values[i] for i in kpick) + (...,)].reshape(nb, nk, ns)
+        if any(values[i] for i in summed):
+            np.matmul(lhs, rhs, out=acc)
+            np.add(target, acc, out=target)
+        else:
+            np.matmul(lhs, rhs, out=target)
+    return out.transpose([out_vars.index(v) for v in result_vars])
 
 
 def _multiply_into(table, tvars, factor, fvars, result_vars) -> np.ndarray:

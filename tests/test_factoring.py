@@ -10,8 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SMALL_PARAMS, build_instance, cp_shape, enumerate_posterior, small_net
+from helpers import (
+    ACCEPTANCE_MASTER, SMALL_PARAMS, build_instance, cp_shape, enumerate_posterior, small_net,
+)
 from factorcube import costmodel, factoring, network
+from factorcube.cli import net_seed
 from factorcube import factors as fa
 from factorcube.costmodel import DEFAULT_MACHINE
 from factorcube.factoring import (
@@ -643,6 +646,24 @@ def test_evaluation_peak_is_live_tables_plus_one_result():
     np.testing.assert_allclose(got.table, want / want.sum(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("index", [12, 25])
+def test_numeric_corpus_peak_is_bounded(index):
+    # nets 12 and 25 of the seed-31337 corpus under chain set the largest
+    # per-query peak: a 2**21-entry product result (16 MiB) feeds a
+    # product whose result is as large, which lays its inputs out for the
+    # matmul one block at a time instead of copying the 16 MiB input
+    net, query = network.random_net(
+        network.NetGenParams(seed=net_seed(ACCEPTANCE_MASTER, index))
+    )
+    tracemalloc.start()
+    try:
+        factoring.posterior(net, query, "chain")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34 << 20
+
+
 def hand_tree(leaf_scopes, products):
     """A tree over binary variables with query variable 0: a leaf per
     scope in order, then each product (left, right, scope), the last one
@@ -1009,6 +1030,55 @@ def test_relabelled_net_gives_the_same_posterior(data):
         got = factoring.posterior(renamed, moved, heuristic)
         assert got.vars == (moved.query_var,)
         np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-12)
+
+
+def reordered(tree, rng):
+    """tree with its nodes renumbered in another children-before-parents
+    order drawn from rng: each next node is one whose children are placed,
+    so leaves fall among the products; the root stays last."""
+    nodes = tree.nodes
+    parent, waiting = {}, {}
+    for i, node in enumerate(nodes):
+        if not node.is_leaf:
+            parent[node.left] = parent[node.right] = i
+            waiting[i] = 2
+    ready = [i for i, node in enumerate(nodes) if node.is_leaf and i != tree.root]
+    order = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        order.append(i)
+        waiting[parent[i]] -= 1
+        if not waiting[parent[i]] and parent[i] != tree.root:
+            ready.append(parent[i])
+    order.append(tree.root)
+    new = {old: i for i, old in enumerate(order)}
+    return factoring.EvalTree(tree.query_var, tree.var_cards, tuple(
+        n if n.is_leaf else factoring.EvalNode(None, new[n.left], new[n.right], n.scope)
+        for n in map(nodes.__getitem__, order)
+    ))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**63 - 1))
+def test_node_order_changes_neither_posterior_nor_costs(seed):
+    # nets of 10 to 24 nodes and their ancestral closures, so that many
+    # trees have several products
+    net, query = network.random_net(
+        network.NetGenParams(seed=seed, **dict(SMALL_PARAMS, node_count_range=(10, 24)))
+    )
+    scopes, cards, ids = factoring.scopes_for_query(net, query)
+    leaves = fa.query_factors(net, query, ids)
+    rng = random.Random(seed)
+    for heuristic in factoring.HEURISTICS:
+        tree = factoring.build_tree(heuristic, scopes, cards, query.query_var)
+        other = reordered(tree, rng)
+        factoring.check_tree(other)
+        np.testing.assert_allclose(evaluate_tree(other, leaves).table,
+                                   evaluate_tree(tree, leaves).table, rtol=0, atol=1e-12)
+        (want, want_totals), (got, got_totals) = map(cost_figures, (tree, other))
+        assert Counter(got) == Counter(want)
+        # the time totals are sums in node order, equal up to rounding
+        assert got_totals == pytest.approx(want_totals, rel=1e-12)
 
 
 # -- stats -------------------------------------------------------------------

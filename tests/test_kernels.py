@@ -2,6 +2,7 @@
 and the time-keyed builder against the exact planner costs."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -170,6 +171,106 @@ def test_product_sum_shift_is_exact(keep):
             )
         else:
             np.testing.assert_allclose(got, einsum, rtol=1e-12)
+
+
+def counting_calls(monkeypatch, *args, **kwargs):
+    """product_sum(*args, **kwargs) and how many np.matmul and np.add
+    calls it made."""
+    calls = Counter()
+
+    def counting(name, ufunc):
+        def call(*a, **k):
+            calls[name] += 1
+            return ufunc(*a, **k)
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in ("matmul", "add"):
+            patch.setattr(np, name, counting(name, getattr(np, name)))
+        return _kernels.product_sum(*args, **kwargs), calls
+
+
+@pytest.mark.parametrize(
+    "vars2, keep, accumulates",
+    [
+        # a kept variable both inputs hold (0) lies outside the block
+        ((0, 8, 9, 10), (0, 1, 3, 9, 10), False),
+        # the contracted variables hold 216 entries, more than a block: the
+        # ones outside it (3, 5) add each value's matmul into the result;
+        # kept variables of either input (0, 1, 2; 9, 10) lie outside it too
+        ((3, 4, 5, 6, 7, 8, 9, 10), (0, 1, 2, 9, 10), True),
+        # a kept variable the smaller input lacks (0) lies outside the
+        # block; variables only one input holds are summed out (1, 3, 5, 6; 10)
+        ((7, 8, 9, 10), (0, 2, 4, 9), False),
+        # a kept variable only the smaller input holds (9) lies outside its
+        # part of the block
+        ((6, 7, 8, 9, 10), (0, 6, 7, 9, 10), False),
+        # everything summed out, over several blocks: a 0-d result
+        ((3, 4, 5, 6, 7, 8, 9, 10), (), True),
+    ],
+)
+def test_blocked_matmul_matches_enumeration(monkeypatch, vars2, keep, accumulates):
+    # cardinalities 2 and 3 alternate with the variable id; the union has
+    # 2**6 * 3**5 joint assignments, above the matmul route's threshold, and
+    # a block of at most 32 entries takes several steps
+    monkeypatch.setattr(_kernels, "_MATMUL_BLOCK", 32)
+    rng = np.random.default_rng(10)
+    card_of = lambda v: 2 + v % 2
+    vars1 = tuple(range(9))
+    t1, t2 = (rng.random([card_of(v) for v in vs]) for vs in (vars1, vars2))
+    t1.setflags(write=False)
+    t2.setflags(write=False)
+    got, calls = counting_calls(monkeypatch, t1, vars1, t2, vars2, keep)
+    assert calls["matmul"] > 1
+    assert (calls["add"] > 0) == accumulates
+    np.testing.assert_allclose(
+        got, enumerated(t1, vars1, t2, vars2, keep, card_of), rtol=1e-12
+    )
+    assert got.flags.writeable
+    assert not np.shares_memory(got, t1) and not np.shares_memory(got, t2)
+
+
+def test_blocked_matmul_reads_a_transposed_owned_view(monkeypatch):
+    # the owned input is a non-contiguous transposed view; the factor holds
+    # a variable it lacks, so the product cannot run in place
+    monkeypatch.setattr(_kernels, "_MATMUL_BLOCK", 32)
+    rng = np.random.default_rng(11)
+    card_of = lambda v: 2 + v % 2
+    vars1, vars2, keep = tuple(range(10)), (3, 9, 10), (0, 5, 10)
+    t1 = _owned(rng, [card_of(v) for v in vars1], (9, *range(1, 9), 0), 2)
+    t2 = rng.random([card_of(v) for v in vars2])
+    want = enumerated(t1, vars1, t2, vars2, keep, card_of)
+    before = t1.copy()
+    got, calls = counting_calls(monkeypatch, t2, vars2, t1, vars1, keep,
+                                owned=(False, True))
+    assert calls["matmul"] > 1
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert got.shape == want.shape and got.flags.writeable
+    np.testing.assert_array_equal(t1, before)
+    assert not np.shares_memory(got, t1) and not np.shares_memory(got, t2)
+
+
+def test_blocked_matmul_lays_out_one_block_at_a_time():
+    # the shape of a deferred run's consumer: a 2**18-entry owned base, a
+    # transposed view, times a fold with a new variable (18) and one the
+    # product sums out (3); the result is as large as the base.  Laying out
+    # the whole base for one matmul would copy it.
+    n = 18
+    rng = np.random.default_rng(12)
+    vars1, vars2 = tuple(range(n)), (3, n)
+    keep = tuple(v for v in range(n + 1) if v != 3)
+    fold = rng.random((2, 2))
+    tracemalloc.start()
+    try:
+        base = rng.random((2,) * n).transpose((*range(9, n), *range(9)))
+        got = _kernels.product_sum(base, vars1, fold, vars2, keep, owned=(True, False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entry = base.itemsize
+    assert peak < (base.size + got.size + _kernels._MATMUL_BLOCK) * entry + (256 << 10)
+    want = np.einsum(base, vars1, fold, vars2, keep)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_time_key_selection_dominates_exact_costs():
