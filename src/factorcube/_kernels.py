@@ -72,17 +72,23 @@ def product_sum(t1, vars1, t2, vars2, result_vars, *,
         t2 = np.ldexp(t2, shift, out=t2 if owned[1] else None)
     if owned[0] and t1.size >= _OPTIMIZE_FROM and set(vars2) <= set(vars1):
         return _multiply_into(t1, vars1, t2, vars2, result_vars)
-    card = dict(zip(vars1, t1.shape))
-    card.update(zip(vars2, t2.shape))
-    label = {v: i for i, v in enumerate(card)}
-    if (math.prod(card.values()) >= _MATMUL_FROM
-            and not set(vars1).intersection(vars2).issubset(result_vars)):
+    # union variables labelled in order of first appearance; m, the product's
+    # joint assignments, is t1's size times the cardinalities t2 adds
+    label = {v: i for i, v in enumerate(vars1)}
+    labels2 = []
+    m = t1.size
+    for v, n in zip(vars2, t2.shape):
+        if v not in label:
+            label[v] = len(label)
+            m *= n
+        labels2.append(label[v])
+    if m >= _MATMUL_FROM and not set(vars1).intersection(vars2).issubset(result_vars):
+        card = dict(zip(vars1, t1.shape))
+        card.update(zip(vars2, t2.shape))
         return _blocked_matmul(t1, vars1, t2, vars2, result_vars, card, label)
     # einsum returns a numpy scalar, not an array, when result_vars is empty
     return np.asarray(np.einsum(
-        t1, [label[v] for v in vars1],
-        t2, [label[v] for v in vars2],
-        [label[v] for v in result_vars],
+        t1, [*range(len(vars1))], t2, labels2, [label[v] for v in result_vars],
     ))
 
 

@@ -34,9 +34,13 @@ DEFAULT_EVAL_CAP = 25
 HEURISTICS = ("set-factoring", "set-factoring-c", "chain")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EvalNode:
-    """Leaf (factor set, children None) or product node (factor None)."""
+    """Leaf (factor set, children None) or product node (factor None).
+
+    Hashable by value but not frozen, since a frozen dataclass pays for
+    every field it sets in `__init__`; trees share nodes (`_regroup`), so
+    no code may change a node once made."""
 
     factor: int | None
     left: int | None
@@ -431,13 +435,6 @@ def _greedy(state: _BuildState, bounds, exact_key) -> EvalTree:
             current[cls_pair] = e = (e[0], e[1], *pair, e[4], cls_pair)
             heapq.heappush(heap, e)
 
-    def entry(m: int, rsize: int, a: int, b: int, cls_pair):
-        """The entry of a pair of multiply count m and result size rsize."""
-        if bounds is None:
-            return m, rsize, a, b, True, cls_pair
-        bound, exact = bounds[m, rsize]
-        return bound, rsize, a, b, exact, cls_pair
-
     def enter(n: int) -> None:
         """Enter the pairs of node n, the highest, with every active node:
         a sharing entry for each node that shares a variable with n, and a
@@ -458,14 +455,17 @@ def _greedy(state: _BuildState, bounds, exact_key) -> EvalTree:
                     if bounds is None:
                         entries.append((size(union), 0, x, n, False, None))
                     else:
-                        kept = union & ~((mask_x ^ mask_n) & once | mask_x & mask_n & twice)
-                        entries.append(entry(size(union), size(kept), x, n, None))
+                        rsize = size(union & ~((mask_x ^ mask_n) & once
+                                               | mask_x & mask_n & twice))
+                        bound, exact = bounds[size(union), rsize]
+                        entries.append((bound, rsize, x, n, exact, None))
                 elif cls_pair is None:
                     cls_pair = (cls, cls_n)
                     cur = current.get(cls_pair)
                     if cur is None:
-                        e = entry(sizes[x] * sizes[n], reduced[x] * reduced[n],
-                                  x, n, cls_pair)
+                        m, rsize = sizes[x] * sizes[n], reduced[x] * reduced[n]
+                        bound, exact = (m, True) if bounds is None else bounds[m, rsize]
+                        e = (bound, rsize, x, n, exact, cls_pair)
                     elif x < cur[2]:
                         e = (cur[0], cur[1], x, n, cur[4], cls_pair)
                     else:
@@ -669,7 +669,7 @@ def _exponent(table: np.ndarray) -> int:
     """The power of two that brings table's largest entry into [0.5, 1).
     A subnormal maximum keeps the smallest normal exponent, so that
     dividing the power out of another table stays finite."""
-    return max(math.frexp(np.maximum.reduce(table, axis=None))[1], -1021)
+    return max(math.frexp(np.maximum.reduce(table, None))[1], -1021)
 
 
 def _regroup(tree: EvalTree) -> EvalTree:
@@ -790,7 +790,11 @@ def evaluate_tree(
             if factors[node.factor].vars != node.scope:
                 raise ValueError(f"factor {node.factor} covers "
                                  f"{factors[node.factor].vars}, leaf expects {node.scope}")
-        elif (dim := len({*nodes[node.left].scope, *nodes[node.right].scope})) > max_dim:
+            continue
+        scope1, scope2 = nodes[node.left].scope, nodes[node.right].scope
+        # the union is built only when the inputs' dimensions could exceed the cap
+        if (len(scope1) + len(scope2) > max_dim
+                and (dim := len({*scope1, *scope2})) > max_dim):
             raise DimensionCapError(f"conformal product spans {dim} variables, "
                                     f"above the cap of {max_dim}")
     tree = _regroup(tree)

@@ -828,6 +828,41 @@ def test_regroup_keeps_leaves_summation_and_dimension(leaf_scopes, products, lar
     assert tree_stats(got).dm == tree_stats(tree).dm
 
 
+@pytest.mark.parametrize("leaf_scopes, products, largest", DEFERRED_RUNS)
+def test_regroup_leaves_its_input_unchanged(leaf_scopes, products, largest):
+    # the rewritten tree shares the input's nodes, so neither may change the other
+    tree, _ = hand_tree(leaf_scopes, products)
+    snapshot = [(n.factor, n.left, n.right, n.scope) for n in tree.nodes]
+    got = factoring._regroup(tree)
+    assert got is not tree
+    assert [(n.factor, n.left, n.right, n.scope) for n in tree.nodes] == snapshot
+
+
+def test_eval_nodes_compare_and_hash_by_value():
+    node = factoring.EvalNode(None, 0, 1, (0, 2))
+    twin = factoring.EvalNode(None, 0, 1, (0, 2))
+    assert node is not twin
+    assert node == twin and hash(node) == hash(twin)
+    assert Counter([node, twin])[node] == 2
+    for other in [factoring.EvalNode(None, 0, 1, (0,)),  # another scope
+                  factoring.EvalNode(None, 1, 0, (0, 2)),  # children swapped
+                  factoring.EvalNode(None, 0, 3, (0, 2)),  # another child
+                  factoring.EvalNode(0, None, None, (0, 2))]:  # a leaf
+        assert other != node
+
+
+@pytest.mark.parametrize("record", [factoring.EvalNode, fa.Factor, factoring.CpShape,
+                                    costmodel.CpCost])
+def test_hot_records_are_slotted_and_not_frozen(record):
+    # A median numeric query makes about 30 nodes, 18 factors and one shape
+    # and cost per product.  A frozen dataclass sets each field through
+    # object.__setattr__: on a 2-vCPU host one EvalNode took 0.67 us frozen
+    # against 0.19 us slotted and unfrozen, and 0.66 us frozen and slotted.
+    assert "__slots__" in vars(record)
+    assert record.__dictoffset__ == 0  # its instances have no __dict__
+    assert record.__dataclass_params__.frozen is False
+
+
 @pytest.mark.parametrize("leaf_scopes, products", [
     pytest.param([(0, 1), (1, 2), (2, 3)], [(0, 1, (0, 2)), (3, 2, (0,))],
                  id="small-products"),

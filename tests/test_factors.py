@@ -54,7 +54,7 @@ def test_factor_table_is_read_only():
     x = Factor((0,), mine)
     with pytest.raises(ValueError):
         x.table[0] = 1.0
-    # the factor froze a view; the caller's array stays writeable
+    # the factor made a view read-only; the caller's array stays writeable
     mine[0] = 0.5
     assert x.table[0] == 0.5
     assert x.cards == (2,)

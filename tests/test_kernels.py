@@ -173,6 +173,33 @@ def test_product_sum_shift_is_exact(keep):
             np.testing.assert_allclose(got, einsum, rtol=1e-12)
 
 
+@pytest.mark.parametrize("vars1, vars2, keep, shift", [
+    pytest.param((3, 5, 7), (0, 2), (0, 3, 7), 0, id="disjoint"),
+    pytest.param((1, 3, 4, 6), (6, 3), (1, 6), 0, id="scope-inside"),
+    pytest.param((2, 5, 8), (1, 5), (8, 1), 0, id="shared-summed-out"),
+    pytest.param((0, 3, 4, 6), (4, 2, 6), (2, 0), -9, id="shift"),
+    pytest.param((1, 2, 3), (0, 3), (), 0, id="empty-result"),
+])
+def test_product_sum_einsum_route_is_one_plain_einsum(vars1, vars2, keep, shift):
+    # below the in-place and matmul sizes the kernel is one np.einsum call
+    # with each union variable labelled in order of first appearance, the
+    # larger input first and the shift on the smaller one, bit for bit
+    rng = np.random.default_rng(11)
+    t1, t2 = (rng.random([2 + v % 2 for v in vs]) for vs in (vars1, vars2))
+    assert t1.size > t2.size
+    label = {}
+    for v in (*vars1, *vars2):
+        label.setdefault(v, len(label))
+    want = np.einsum(t1, [label[v] for v in vars1],
+                     np.ldexp(t2, shift), [label[v] for v in vars2],
+                     [label[v] for v in keep])
+    # the smaller input given first still runs larger-first
+    for args in ((t1, vars1, t2, vars2), (t2, vars2, t1, vars1)):
+        got = _kernels.product_sum(*args, keep, shift=shift)
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def counting_calls(monkeypatch, *args, **kwargs):
     """product_sum(*args, **kwargs) and how many np.matmul and np.add
     calls it made."""
