@@ -122,7 +122,7 @@ class CpCost:
 @dataclass(frozen=True)
 class QueryCost:
     """Every product's cost, in creation order, with the tree's stats
-    (`factoring.TreeStats`: shapes, node ids, dimensions) and machine."""
+    (`factoring.TreeStats`: shapes and dimensions) and machine."""
 
     per_cp: tuple[CpCost, ...]
     stats: object
@@ -279,12 +279,12 @@ def longest_path(tree, qc: QueryCost) -> LongestPath:
     parallel times, pricing tree-level concurrency on top of per-product
     distribution; concurrent subtrees are assumed to find processors
     beyond the per-product allotment, so each product keeps the cost it
-    has in the plain query run.  `qc` is the tree's `query_costs`.
-    Requires children to precede parents in the node list, which built
-    and loaded trees guarantee.
+    has in the plain query run.  `qc` is the tree's `query_costs`, one
+    cost per product node in node order.  Requires children to precede
+    parents in the node list, which built and loaded trees guarantee.
     """
     nodes = tree.nodes
-    cost = dict(zip(qc.stats.product_ids, qc.per_cp))
+    cost = dict(zip((i for i, node in enumerate(nodes) if node.factor is None), qc.per_cp))
     below = [0.0] * len(nodes)  # a leaf adds nothing
     for i, c in cost.items():
         node = nodes[i]

@@ -101,7 +101,6 @@ class CpShape:
 @dataclass(frozen=True)
 class TreeStats:
     shapes: tuple[CpShape, ...]  # creation order; last one is the root
-    product_ids: tuple[int, ...]  # each shape's node id
     dm: int
     md: int
     md_all: int
@@ -215,10 +214,10 @@ class _BuildState:
     instance's variables.  `count` holds, per column of a variable that
     has not died, the query's excepted, how many active nodes hold it;
     `held_once` and `held_twice` are the masks of those columns held by
-    one and by two active nodes.  `sizes` holds each node's table size and
-    `reduced` its size after summing out the variables only it holds,
-    which is what it keeps in a product with a node it shares no variable
-    with.
+    one and by two active nodes.  The build keeps these masks and holder
+    counts only: a node's table size, and what it keeps in a product with
+    a node it shares no variable with, are worked out from its mask where
+    they are read.
     """
 
     def __init__(self, scopes, cards, query_var):
@@ -240,8 +239,6 @@ class _BuildState:
                 self.held_twice |= 1 << col
         self.held_once &= ~self.query_bit
         self.held_twice &= ~self.query_bit
-        self.sizes = [self.size(mask) for mask in self.masks]
-        self.reduced = [self.size(mask & ~self.held_once) for mask in self.masks]
         self.class_ids: dict[tuple, int] = {}
 
     def node_class(self, x: int) -> int:
@@ -250,7 +247,8 @@ class _BuildState:
         product with a node it shares no variable with.  Every key of a
         pair that shares no variable, exact or bound, depends only on the
         classes of its lower and its higher node."""
-        key = (self.sizes[x], self.cols.cards_of(self.masks[x] & ~self.held_once))
+        mask = self.masks[x]
+        key = (self.size(mask), self.cols.cards_of(mask & ~self.held_once))
         return self.class_ids.setdefault(key, len(self.class_ids))
 
     def _dead(self, mask_a: int, mask_b: int) -> int:
@@ -274,8 +272,8 @@ class _BuildState:
         mask_b = self.masks[b]
         union = mask_a | mask_b
         kept = union & ~self._dead(mask_a, mask_b)
-        shape = CpShape(self.cols, mask_a, mask_b, kept, self.sizes[a], self.sizes[b],
-                        self.size(union), self.size(kept))
+        shape = CpShape(self.cols, mask_a, mask_b, kept, self.size(mask_a),
+                        self.size(mask_b), self.size(union), self.size(kept))
         return costmodel.parallel_cp_cost(shape, machine).t_p, shape.result_size
 
     def combine(self, a: int, b: int) -> int:
@@ -287,7 +285,6 @@ class _BuildState:
         kept = (mask_a | mask_b) & ~dead
         self.nodes.append(EvalNode(None, a, b, self.cols.vars_of(kept)))
         self.masks.append(kept)
-        self.sizes.append(self.size(kept))
         # dead variables lose every holder.  A kept variable of both inputs
         # loses one: held twice it would have died, so it goes from three
         # holders or more to two or more, and never becomes held once
@@ -298,7 +295,6 @@ class _BuildState:
             count[col] -= 1
             if count[col] == 2:
                 self.held_twice |= 1 << col
-        self.reduced.append(self.size(kept & ~self.held_once))
         return len(self.nodes) - 1
 
     def finish(self) -> EvalTree:
@@ -377,9 +373,9 @@ def _greedy(state: _BuildState, bounds, exact_key) -> EvalTree:
     current entry.  All such pairs have the same key, so that entry
     carries the key, or its bound, and names a pair no higher in (a, b)
     order than the lowest live one; such a pair multiplies its nodes' sizes
-    and keeps their reduced sizes.  So every live pair's key is at least
-    some entry's.  The class pairs keep the order of their nodes' ids
-    because the exact time key depends on which input comes first.
+    and keeps what each shares with other nodes.  So every live pair's key
+    is at least some entry's.  The class pairs keep the order of their nodes'
+    ids because the exact time key depends on which input comes first.
 
     A class pair's lowest live pair only rises as nodes die.  The pairs a
     new product brings have the highest higher id, so for each class pair
@@ -390,8 +386,6 @@ def _greedy(state: _BuildState, bounds, exact_key) -> EvalTree:
     """
     masks = state.masks
     size = state.size
-    sizes = state.sizes
-    reduced = state.reduced
     classes: list[int] = []  # per node id; nodes enter in id order
     lists: list[list | None] = []  # per node id: its sharing entries, ascending
     heads: list[int] = []  # per node id: index of its list's head
@@ -463,7 +457,8 @@ def _greedy(state: _BuildState, bounds, exact_key) -> EvalTree:
                     cls_pair = (cls, cls_n)
                     cur = current.get(cls_pair)
                     if cur is None:
-                        m, rsize = sizes[x] * sizes[n], reduced[x] * reduced[n]
+                        union = mask_x | mask_n
+                        m, rsize = size(union), size(union & ~once)
                         bound, exact = (m, True) if bounds is None else bounds[m, rsize]
                         e = (bound, rsize, x, n, exact, cls_pair)
                     elif x < cur[2]:
@@ -560,7 +555,7 @@ def build_tree(heuristic: str, scopes, cards, query_var, machine=None) -> EvalTr
 
 
 def tree_stats(tree: EvalTree) -> TreeStats:
-    """Each product's shape and node id, and the dimensions, in one walk.
+    """Each product's shape, and the dimensions, in one walk.
 
     A product's mask is its children's union when its scope has as many
     variables (`check_tree` keeps it within the union), else its encoded
@@ -574,9 +569,8 @@ def tree_stats(tree: EvalTree) -> TreeStats:
     masks = []
     sizes = []
     shapes = []
-    ids = []
     dm = md = md_all = 0
-    for i, node in enumerate(tree.nodes):
+    for node in tree.nodes:
         if node.factor is not None:  # a leaf
             mask = cols.mask(node.scope)
             masks.append(mask)
@@ -592,7 +586,6 @@ def tree_stats(tree: EvalTree) -> TreeStats:
         sizes.append(size)
         shapes.append(CpShape(cols, mask1, mask2, mask, sizes[node.left],
                               sizes[node.right], m, size))
-        ids.append(i)
         node_md = max(mask1.bit_count(), mask2.bit_count(), mask.bit_count())
         if node_md > md_all:
             md_all = node_md
@@ -601,7 +594,7 @@ def tree_stats(tree: EvalTree) -> TreeStats:
             md = node_md
         elif u == dm and node_md > md:
             md = node_md
-    return TreeStats(tuple(shapes), tuple(ids), dm, md, md_all)
+    return TreeStats(tuple(shapes), dm, md, md_all)
 
 
 def check_tree(tree: EvalTree) -> None:

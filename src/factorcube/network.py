@@ -106,6 +106,11 @@ class NetGenParams:
             )
         if self.node_count_range[0] < 1 or any(lo < 0 for lo, _ in ranges):
             raise GenerationError("ranges must be non-negative (nodes >= 1)")
+        n = self.node_count_range[1]  # the easiest: arcs per node never fall as n grows
+        if (math.ceil(self.avg_arcs_range[0] * n) > _arc_capacity(n)
+                or self.obs_count_range[0] > n - 1):  # one node stays unobserved
+            raise GenerationError(f"arcs {self.avg_arcs_range} and obs {self.obs_count_range} "
+                                  f"infeasible for {n} nodes or fewer")
 
 
 @dataclass(frozen=True)

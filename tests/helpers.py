@@ -11,7 +11,9 @@ import itertools
 import json
 import math
 
-from factorcube import costmodel, factoring, network
+import numpy as np
+
+from factorcube import _kernels, costmodel, factoring, network
 from factorcube.cli import net_seed
 
 # Master seeds for the seeded corpora.  The acceptance corpus master is
@@ -93,3 +95,54 @@ def cp_shape(vars1, vars2, result, cards):
         ),
     )
     return factoring.tree_stats(tree).shapes[0]
+
+
+
+def check_split_slices(tree, machine, rng) -> int:
+    """The slice oracle for a binary tree: run each distributed product
+    (n_u > 1) of `tree` under `machine` one slice of its modeled split at
+    a time, on random tables over its children's scopes, and return the
+    number of products checked.
+
+    A slice indexes each input at one joint value of the split variables
+    it holds and runs `_kernels.product_sum` on what is left, keeping the
+    result variables outside the split.  The slices must tile the whole
+    product, each result entry in exactly one slice and equal to the
+    kernel's whole product to 1e-12; and each slice, one worker's share,
+    must have exactly the input entries b_d / bytes_per_entry, the result
+    entries b_result / n_u and the multiplies m / n_u that the model
+    prices, so there are n_u slices."""
+    cards = dict(tree.var_cards)
+    bytes_per_entry = machine.bytes_per_entry
+    products = [node for node in tree.nodes if not node.is_leaf]
+    checked = 0
+    for node, cost in zip(products, costmodel.query_costs(tree, machine).per_cp):
+        if cost.n_u == 1:
+            continue
+        inputs = [(rng.random([cards[v] for v in vs]), vs)
+                  for vs in (tree.nodes[node.left].scope, tree.nodes[node.right].scope)]
+        whole = _kernels.product_sum(*inputs[0], *inputs[1], node.scope)
+        tiled = np.zeros(whole.shape)
+        covered = np.zeros(whole.shape, dtype=int)
+        split = cost.split_vars
+        for values in itertools.product(*(range(cards[v]) for v in split)):
+            at = dict(zip(split, values))
+            (t1, vars1), (t2, vars2) = (
+                (t[tuple(at.get(v, slice(None)) for v in vs)],
+                 tuple(v for v in vs if v not in at))
+                for t, vs in inputs
+            )
+            result = _kernels.product_sum(t1, vars1, t2, vars2,
+                                          tuple(v for v in node.scope if v not in at))
+            block = tuple(at.get(v, slice(None)) for v in node.scope)
+            tiled[block] = result
+            covered[block] += 1
+            assert (t1.size + t2.size) * bytes_per_entry == cost.b_d
+            assert result.size * cost.n_u * bytes_per_entry == cost.b_result
+            assert math.prod(cards[v] for v in {*vars1, *vars2}) * cost.n_u == (
+                cost.shape.multiply_count)
+        assert math.prod(cards[v] for v in split) == cost.n_u
+        assert (covered == 1).all()
+        np.testing.assert_allclose(tiled, whole, rtol=1e-12, atol=0)
+        checked += 1
+    return checked

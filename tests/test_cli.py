@@ -929,6 +929,13 @@ def test_experiment_with_every_net_failing_writes_header_only_tables(tmp_path, c
     pytest.param(("--nodes", "5..4"), "empty range", id="empty-range"),
     pytest.param(("--arcs", "1..inf"), "must be finite", id="infinite-arcs"),
     pytest.param(("--obs=-1..2",), "non-negative", id="negative-obs"),
+    # ranges that no node count in range can meet
+    pytest.param(("--nodes", "1..1"), "infeasible", id="one-node"),
+    pytest.param(("--nodes", "2..2", "--obs", "2..3"), "infeasible", id="two-nodes"),
+    pytest.param(("--nodes", "2..2", "--arcs", "0..1", "--obs", "2..3"),
+                 "obs (2, 3) infeasible for 2 nodes", id="every-node-observed"),
+    pytest.param(("--nodes", "3..6", "--arcs", "10..12"), "arcs (10.0, 12.0) and",
+                 id="too-many-arcs"),
 ])
 def test_experiment_rejects_ranges_before_any_net(tmp_path, capsys, monkeypatch,
                                                   flags, message):

@@ -4,11 +4,12 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_instance, cp_shape, small_net
+from helpers import build_instance, check_split_slices, cp_shape, small_net
 from test_golden_trees import LARGE_PARAMS, nonbinary_instance
 from factorcube import cli, costmodel, factoring, metrics, network
 from factorcube.costmodel import (
@@ -233,6 +234,18 @@ def test_byte_accounting_is_exact():
         assert cost.b_d == bpe * (shape.size1 // k1 + shape.size2 // k2)
         assert cost.b_result == bpe * shape.result_size
         assert cost.b_result % cost.n_u == 0  # whole bytes per worker here
+
+
+def test_split_slices_run_on_real_tables(small_corpus):
+    # on 4 processors with no grainsize floor, about 2,000 products of the
+    # small corpus distribute, split on shared and on one input's variables
+    machine = costmodel.MachineParams(n_a=4, g_min=1)
+    rng = np.random.default_rng(14)
+    checked = 0
+    for net, query in small_corpus:
+        for tree in build_instance(net, query, machine)["trees"].values():
+            checked += check_split_slices(tree, machine, rng)
+    assert checked > 1000
 
 
 # -- communication formulas --------------------------------------------------
@@ -645,7 +658,7 @@ def test_memory_excludes_root_product(protocol_corpus):
     qc = query_costs(tree, DEFAULT_MACHINE)
     bca, bca_excl, _ = memory_accounting(qc)
     root_cost = qc.per_cp[-1]
-    assert qc.stats.product_ids[-1] == tree.root
+    assert not tree.nodes[tree.root].is_leaf
     assert bca - bca_excl == pytest.approx(
         root_cost.b_d + root_cost.b_result / root_cost.n_u, rel=1e-12
     )

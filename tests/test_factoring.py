@@ -248,7 +248,6 @@ def test_builder_matches_full_rescan_at_every_step(instance, query, machine):
         active.append(new_id)
         classes[new_id] = state.node_class(new_id)
         for x in active:
-            assert state.reduced[x] == state.size(state.masks[x] & ~state.held_once)
             assert state.node_class(x) == classes[x]
     assert tuple(state.nodes) == tree.nodes
     assert active == [tree.root]

@@ -65,7 +65,8 @@ def test_product_sum_matches_enumeration():
         ((), (), ()),
         ((0, 1), (1, 2), ()),
         ((0, 1), (1, 2), (0, 1, 2)),
-        # 432 and 1296 joint assignments: either side of einsum's path optimizer
+        # 432 and 1296 joint assignments, below `_MATMUL_FROM`, of inputs not
+        # owned: each takes the plain einsum route, summing out or not
         (tuple(range(5)), tuple(range(2, 7)), (1, 4, 6)),
         (tuple(range(6)), tuple(range(2, 8)), (1, 4, 6)),
         (tuple(range(6)), tuple(range(2, 8)), tuple(range(8))),

@@ -133,9 +133,15 @@ def test_random_net_infeasible_ranges():
             network.random_net(NetGenParams((4, 4), arcs, (1, 1), 0))
     # ranges no node count can meet are refused before any draw
     for ranges in (((0, 3), (1, 1), (0, 0)), ((3, 3), (-1, 1), (0, 0)),
-                   ((3, 3), (1, 1), (-1, 0)), ((3, 3), (2, 1), (0, 0))):
+                   ((3, 3), (1, 1), (-1, 0)), ((3, 3), (2, 1), (0, 0)),
+                   # infeasible at every node count in range, the largest too
+                   ((1, 1), (1, 5), (1, 20)), ((2, 2), (1, 5), (2, 3)),
+                   ((2, 2), (0, 1), (2, 3)), ((3, 6), (10, 12), (1, 20))):
         with pytest.raises(GenerationError):
             NetGenParams(*ranges)
+    # feasible at the largest node count only: refused per draw, not up front
+    NetGenParams((2, 7), (3.0, 3.0), (1, 1), 0)
+    NetGenParams((4, 30), (2.6, 2.6), (1, 1), 0)
 
 
 def draw_arc_slots_by_lists(rng, n, target_avg, t_lo, t_hi):
