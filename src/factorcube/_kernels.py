@@ -12,8 +12,8 @@ _OPTIMIZE_FROM = 2 ** 10
 
 # A product that sums out a variable both inputs hold runs as blocked
 # matmuls from this many joint assignments on; below it one plain einsum
-# call is faster.  A block holds at most `_MATMUL_BLOCK` entries of each
-# input.
+# call is faster.  A block holds every contracted variable and at most
+# `_MATMUL_BLOCK` entries of each input, so a wider contraction takes einsum.
 _MATMUL_FROM = 2 ** 13
 _MATMUL_BLOCK = 2 ** 16
 
@@ -52,12 +52,13 @@ def product_sum(t1, vars1, t2, vars2, result_vars, *,
       table is made.  The result is the owned table itself when nothing
       is dropped, else a new array.
     - Blocked matmuls, when the product has at least `_MATMUL_FROM` joint
-      assignments and sums out a variable both inputs hold (see
-      `_blocked_matmul`).  Each input is laid out for the matmul one
-      block of at most `_MATMUL_BLOCK` entries at a time, never whole, so
-      the route holds its inputs, its result and two block buffers.  The
-      result is a new writeable array, a transposed view in
-      `result_vars` order.
+      assignments and sums out a variable both inputs hold, and these
+      contracted variables have at most `_MATMUL_BLOCK` joint values, so
+      that they fit one block (see `_blocked_matmul`).  Each input is
+      laid out for the matmul one block of at most `_MATMUL_BLOCK`
+      entries at a time, never whole, so the route holds its inputs, its
+      result and two block buffers.  The result is a new writeable array,
+      a transposed view in `result_vars` order.
     - Otherwise one plain `np.einsum` call on the two tables as they are.
     The last two routes label each union variable by a small integer for
     einsum, so the union may hold at most 52 variables, einsum's label
@@ -82,31 +83,34 @@ def product_sum(t1, vars1, t2, vars2, result_vars, *,
             label[v] = len(label)
             m *= n
         labels2.append(label[v])
-    if m >= _MATMUL_FROM and not set(vars1).intersection(vars2).issubset(result_vars):
-        card = dict(zip(vars1, t1.shape))
-        card.update(zip(vars2, t2.shape))
-        return _blocked_matmul(t1, vars1, t2, vars2, result_vars, card, label)
+    if m >= _MATMUL_FROM:
+        # the contracted variables' cardinalities: both inputs hold them,
+        # the result drops them
+        contracted = [n for v, n in zip(vars2, t2.shape)
+                      if label[v] < len(vars1) and v not in result_vars]
+        if contracted and math.prod(contracted) <= _MATMUL_BLOCK:
+            return _blocked_matmul(t1, vars1, t2, vars2, result_vars, label)
     # einsum returns a numpy scalar, not an array, when result_vars is empty
     return np.asarray(np.einsum(
         t1, [*range(len(vars1))], t2, labels2, [label[v] for v in result_vars],
     ))
 
 
-def _blocked_matmul(big, bvars, small, svars, result_vars, card, label) -> np.ndarray:
+def _blocked_matmul(big, bvars, small, svars, result_vars, label) -> np.ndarray:
     """The product of `big` and the smaller `small`, which sums out a
     variable both hold, as batched matmuls over blocks of the inputs.
 
-    A block holds the contracted variables, then the kept ones, each
-    input's innermost in memory first, while each input's part of it has
-    at most `_MATMUL_BLOCK` entries.  Every value of the variables outside
-    the block, but for a variable one input holds and the result drops,
-    is one step.  At each step one einsum call lays `big`'s part out in a
-    block-sized buffer as (batch, kept, contracted), summing out the
-    variables only `big` holds, and another lays `small`'s part out as
+    A block holds every contracted variable (both inputs hold it, the
+    result drops it), whose joint values must number at most
+    `_MATMUL_BLOCK`, then the kept variables, each input's innermost in
+    memory first, while each input's part of it has at most
+    `_MATMUL_BLOCK` entries.  Every value of the kept variables outside
+    the block is one step.  At each step one einsum call lays `big`'s part
+    out in a block-sized buffer as (batch, kept, contracted), summing out
+    the variables only `big` holds, and another lays `small`'s part out as
     (batch, contracted, kept); each is redone only when its input's part
-    changes.  The matmul writes into the result's block, or, when a
-    contracted variable outside the block is not at its first value, into
-    one buffer that is added to it."""
+    changes.  The matmul writes straight into the result's block."""
+    card = dict(zip([*bvars, *svars], big.shape + small.shape))
     keep, bheld, sheld = set(result_vars), set(bvars), set(svars)
     shared = bheld & sheld
     binner, sinner = ([tvars[i] for i in sorted(range(t.ndim), key=t.strides.__getitem__)]
@@ -122,7 +126,7 @@ def _blocked_matmul(big, bvars, small, svars, result_vars, card, label) -> np.nd
                 broom //= card[v]
             if v in sheld:
                 sroom //= card[v]
-    steps = [v for v in bvars if v not in inblock and (v in keep or v in shared)]
+    steps = [v for v in bvars if v not in inblock and v in keep]
     steps += [v for v in svars if v not in inblock and v in keep and v not in bheld]
     step_of = {v: i for i, v in enumerate(steps)}
     batch = [v for v in bvars if v in inblock and v in shared and v in keep]
@@ -139,13 +143,10 @@ def _blocked_matmul(big, bvars, small, svars, result_vars, card, label) -> np.nd
     small_labels = [label[v] for v in svars if v not in step_of]
     lhs_labels = [label[v] for v in lhs_vars]
     rhs_labels = [label[v] for v in rhs_vars]
-    out_vars = [v for v in steps if v in keep] + batch + bkeep + skeep
+    out_vars = steps + batch + bkeep + skeep
     out = np.empty([card[v] for v in out_vars])
     bpick = [step_of.get(v) for v in bvars]
     spick = [step_of.get(v) for v in svars]
-    kpick = [i for i, v in enumerate(steps) if v in keep]
-    summed = [i for i, v in enumerate(steps) if v not in keep]
-    acc = np.empty((nb, nk, ns)) if summed else None
     every = slice(None)
     big_at = small_at = None
     for values in itertools.product(*[range(card[v]) for v in steps]):
@@ -157,12 +158,7 @@ def _blocked_matmul(big, bvars, small, svars, result_vars, card, label) -> np.nd
         if at != small_at:
             np.einsum(small[at + (...,)], small_labels, rhs_labels, out=rhs_view)
             small_at = at
-        target = out[tuple(values[i] for i in kpick) + (...,)].reshape(nb, nk, ns)
-        if any(values[i] for i in summed):
-            np.matmul(lhs, rhs, out=acc)
-            np.add(target, acc, out=target)
-        else:
-            np.matmul(lhs, rhs, out=target)
+        np.matmul(lhs, rhs, out=out[values + (...,)].reshape(nb, nk, ns))
     return out.transpose([out_vars.index(v) for v in result_vars])
 
 

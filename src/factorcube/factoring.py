@@ -712,16 +712,18 @@ def _regroup(tree: EvalTree) -> EvalTree:
     else:
         return tree
     out = list(nodes[:first])
-    new = {i: i for i in range(first)}  # node -> its id in out, unless deferred
-    # deferred product -> (its base's id in out, its steps), a step being
-    # (a deferred leaf's id in out, the scope of the product that took it)
-    runs: dict[int, tuple[int, list[tuple[int, tuple[int, ...]]]]] = {}
+    # node -> (its base's id in out, the steps it still owes), a step being
+    # (a deferred leaf's id in out, the scope of the product that took it);
+    # a node that does not defer is its own base and owes no steps
+    made = {i: (i, ()) for i in range(first)}
 
     def emit(left: int, right: int, scope) -> int:
         out.append(EvalNode(None, left, right, scope))
         return len(out) - 1
 
-    def replay(base: int, steps) -> int:
+    def settle(i: int) -> int:
+        """The id in out of node i's result, emitting the steps it owes."""
+        base, steps = made[i]
         for leaf, scope in steps:
             base = emit(base, leaf, scope)
         return base
@@ -729,37 +731,31 @@ def _regroup(tree: EvalTree) -> EvalTree:
     for i in range(first, len(nodes)):
         node = nodes[i]
         if node.is_leaf:
-            new[i] = len(out)
+            made[i] = (len(out), ())
             out.append(node)
             continue
         if pq := split(node):
             p, q = pq
-            base, steps = runs.pop(p) if p in runs else (new[p], [])
+            base, steps = made[p]
             bvars, lvars = out[base].scope, nodes[q].scope
             defers = deferrable(i, bvars)
             if defers and set(lvars) <= set(bvars):
                 if steps:
-                    runs[i] = (emit(base, new[q], bvars), steps)
+                    made[i] = (emit(base, made[q][0], bvars), steps)
                     continue
             elif (defers or steps) and size(set(lvars).union(
                     *(out[leaf].scope for leaf, _ in steps))) <= size(bvars):
-                steps = [*steps, (new[q], node.scope)]
+                steps = (*steps, (made[q][0], node.scope))
                 if defers:
-                    runs[i] = (base, steps)
+                    made[i] = (base, steps)
                     continue
                 fold = steps[0][0]
                 for leaf, _ in steps[1:]:
                     fold = emit(fold, leaf, tuple(sorted({*out[fold].scope,
                                                           *out[leaf].scope})))
-                new[i] = emit(base, fold, node.scope)
+                made[i] = (emit(base, fold, node.scope), ())
                 continue
-            if steps:
-                new[p] = replay(base, steps)
-        else:  # two leaves, or two product results that replay their runs
-            for c in (node.left, node.right):
-                if c in runs:
-                    new[c] = replay(*runs.pop(c))
-        new[i] = emit(new[node.left], new[node.right], node.scope)
+        made[i] = (emit(settle(node.left), settle(node.right), node.scope), ())
     return EvalTree(tree.query_var, tree.var_cards, tuple(out))
 
 

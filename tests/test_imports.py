@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import factorcube
 
 SRC = Path(factorcube.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_python(*args):
@@ -34,6 +36,24 @@ def test_package_import_leaves_cli_unloaded():
 def test_every_export_resolves():
     for name in factorcube.__all__:
         assert getattr(factorcube, name) is not None, name
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch):
+    # the python blocks under README's "Library use" run as written, the
+    # second one writing run/ into a fresh directory, and the package root
+    # exports exactly the names they import, plus backend and __version__
+    section = README.read_text().split("\n## Library use\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    imported = {"backend", "__version__"}
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "factorcube":
+                imported.update(alias.name for alias in node.names)
+        exec(compile(block, "README.md", "exec"), {})
+    assert (tmp_path / "run").is_dir()
+    assert imported == set(factorcube.__all__)
 
 
 def test_no_imports_inside_functions():

@@ -219,28 +219,26 @@ def counting_calls(monkeypatch, *args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "vars2, keep, accumulates",
+    "vars2, keep",
     [
         # a kept variable both inputs hold (0) lies outside the block
-        ((0, 8, 9, 10), (0, 1, 3, 9, 10), False),
-        # the contracted variables hold 216 entries, more than a block: the
-        # ones outside it (3, 5) add each value's matmul into the result;
-        # kept variables of either input (0, 1, 2; 9, 10) lie outside it too
-        ((3, 4, 5, 6, 7, 8, 9, 10), (0, 1, 2, 9, 10), True),
+        ((0, 8, 9, 10), (0, 1, 3, 9, 10)),
         # a kept variable the smaller input lacks (0) lies outside the
         # block; variables only one input holds are summed out (1, 3, 5, 6; 10)
-        ((7, 8, 9, 10), (0, 2, 4, 9), False),
+        ((7, 8, 9, 10), (0, 2, 4, 9)),
         # a kept variable only the smaller input holds (9) lies outside its
         # part of the block
-        ((6, 7, 8, 9, 10), (0, 6, 7, 9, 10), False),
-        # everything summed out, over several blocks: a 0-d result
-        ((3, 4, 5, 6, 7, 8, 9, 10), (), True),
+        ((6, 7, 8, 9, 10), (0, 6, 7, 9, 10)),
+        # the contracted variables (0, 2, 4, 6, 8) hold exactly 32 entries,
+        # one block
+        ((0, 2, 4, 6, 8, 9, 10), (1, 9, 10)),
     ],
 )
-def test_blocked_matmul_matches_enumeration(monkeypatch, vars2, keep, accumulates):
+def test_blocked_matmul_matches_enumeration(monkeypatch, vars2, keep):
     # cardinalities 2 and 3 alternate with the variable id; the union has
-    # 2**6 * 3**5 joint assignments, above the matmul route's threshold, and
-    # a block of at most 32 entries takes several steps
+    # at least 2**5 * 3**4 * 6 joint assignments, above the matmul route's
+    # threshold, and a block of at most 32 entries takes several steps,
+    # each writing its matmul straight into the result
     monkeypatch.setattr(_kernels, "_MATMUL_BLOCK", 32)
     rng = np.random.default_rng(10)
     card_of = lambda v: 2 + v % 2
@@ -249,8 +247,44 @@ def test_blocked_matmul_matches_enumeration(monkeypatch, vars2, keep, accumulate
     t1.setflags(write=False)
     t2.setflags(write=False)
     got, calls = counting_calls(monkeypatch, t1, vars1, t2, vars2, keep)
-    assert calls["matmul"] > 1
-    assert (calls["add"] > 0) == accumulates
+    assert calls["matmul"] > 1 and calls["add"] == 0
+    np.testing.assert_allclose(
+        got, enumerated(t1, vars1, t2, vars2, keep, card_of), rtol=1e-12
+    )
+    assert got.flags.writeable
+    assert not np.shares_memory(got, t1) and not np.shares_memory(got, t2)
+
+
+@pytest.mark.parametrize(
+    "vars2, keep",
+    [
+        # the contracted variables (3-8) hold 216 entries, more than a block;
+        # kept variables of either input (0, 1, 2; 9, 10)
+        ((3, 4, 5, 6, 7, 8, 9, 10), (0, 1, 2, 9, 10)),
+        # everything summed out: a 0-d result
+        ((3, 4, 5, 6, 7, 8, 9, 10), ()),
+    ],
+)
+def test_wide_contraction_takes_the_einsum_route(monkeypatch, vars2, keep):
+    # a product above the matmul route's threshold whose contracted
+    # variables overflow a block is one plain einsum call, which allocates
+    # little beyond its result
+    monkeypatch.setattr(_kernels, "_MATMUL_BLOCK", 32)
+    rng = np.random.default_rng(10)
+    card_of = lambda v: 2 + v % 2
+    vars1 = tuple(range(9))
+    t1, t2 = (rng.random([card_of(v) for v in vs]) for vs in (vars1, vars2))
+    t1.setflags(write=False)
+    t2.setflags(write=False)
+    tracemalloc.start()
+    try:
+        got = _kernels.product_sum(t1, vars1, t2, vars2, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + (64 << 10)
+    _, calls = counting_calls(monkeypatch, t1, vars1, t2, vars2, keep)
+    assert calls["matmul"] == 0 and calls["add"] == 0
     np.testing.assert_allclose(
         got, enumerated(t1, vars1, t2, vars2, keep, card_of), rtol=1e-12
     )

@@ -124,10 +124,6 @@ def test_random_net_mean_node_count():
 def test_random_net_infeasible_ranges():
     with pytest.raises(GenerationError):
         network.random_net(NetGenParams((5, 4), (1, 1), (1, 1), 0))
-    with pytest.raises(GenerationError):  # avg 3 needs capacity 12 > 6
-        network.random_net(NetGenParams((4, 4), (3.0, 3.0), (1, 1), 0))
-    with pytest.raises(GenerationError):  # cannot observe every node
-        network.random_net(NetGenParams((3, 3), (1.0, 1.0), (3, 3), 0))
     for arcs in ((1.0, math.inf), (math.nan, 2.0)):
         with pytest.raises(GenerationError, match=rf"arcs range \({arcs[0]}, "):
             network.random_net(NetGenParams((4, 4), arcs, (1, 1), 0))
@@ -136,12 +132,20 @@ def test_random_net_infeasible_ranges():
                    ((3, 3), (1, 1), (-1, 0)), ((3, 3), (2, 1), (0, 0)),
                    # infeasible at every node count in range, the largest too
                    ((1, 1), (1, 5), (1, 20)), ((2, 2), (1, 5), (2, 3)),
-                   ((2, 2), (0, 1), (2, 3)), ((3, 6), (10, 12), (1, 20))):
+                   ((2, 2), (0, 1), (2, 3)), ((3, 6), (10, 12), (1, 20)),
+                   ((4, 4), (3.0, 3.0), (1, 1)),  # avg 3 needs capacity 12 > 6
+                   ((3, 3), (1.0, 1.0), (3, 3))):  # cannot observe every node
         with pytest.raises(GenerationError):
             NetGenParams(*ranges)
     # feasible at the largest node count only: refused per draw, not up front
     NetGenParams((2, 7), (3.0, 3.0), (1, 1), 0)
     NetGenParams((4, 30), (2.6, 2.6), (1, 1), 0)
+    # three observations need four nodes: seed 1 draws three, seed 0 four
+    with pytest.raises(GenerationError,
+                       match="observation count 3 infeasible for 3 nodes"):
+        network.random_net(NetGenParams((2, 4), (0.0, 1.0), (3, 3), seed=1))
+    net, query = network.random_net(NetGenParams((2, 4), (0.0, 1.0), (3, 3), seed=0))
+    assert net.node_count == 4 and len(query.evidence) == 3
 
 
 def draw_arc_slots_by_lists(rng, n, target_avg, t_lo, t_hi):
